@@ -122,10 +122,13 @@ def _matrix_json(m: np.ndarray) -> list:
 
 
 def _emit(payload, fmt: str) -> None:
-    if fmt == "pretty":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
+    try:  # NaN and Infinity are not JSON (RFC 8259)
+        text = json.dumps(payload, indent=2 if fmt == "pretty" else None, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(
+            "result is not finite in double precision; the graph is too large for this command"
+        ) from exc
+    print(text)
 
 
 def cmd_spectrum(args) -> int:
@@ -266,6 +269,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise UsageError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are usage errors, exit 1
         self.print_usage(sys.stderr)
@@ -298,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="periodicity report for a mixed graph")
     add_common(p)
-    p.add_argument("--cap", type=int, default=periodicity.DEFAULT_CAP, help="powering budget")
-    p.add_argument("--tol", type=float, default=linalg.IDENTITY_TOL, help="identity tolerance")
+    p.add_argument("--cap", type=positive_int, default=periodicity.DEFAULT_CAP, help="powering budget")
+    p.add_argument("--tol", type=positive_float, default=linalg.IDENTITY_TOL, help="identity tolerance")
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("sweep", help="CSV table: period formula vs powering over a cycle grid")

@@ -74,6 +74,17 @@ class MixedGraph:
     def is_digon(self, u: int, v: int) -> bool:
         return (u, v) in self.arc_set and (v, u) in self.arc_set
 
+    def edge_sign(self, o: int, t: int) -> int:
+        """Orientation of the edge {o, t} read from o to t: 0 for a digon,
+        +1 for a lone arc o -> t, -1 for a lone arc t -> o."""
+        arcs = self.arc_set
+        backward = (t, o) in arcs
+        if (o, t) in arcs:
+            return 0 if backward else 1
+        if backward:
+            return -1
+        raise InvalidGraphError(f"no edge joins {o} and {t}")
+
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Underlying undirected edges as sorted pairs ``(u, v)`` with u < v."""

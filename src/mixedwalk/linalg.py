@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernels.
 
 Everything here operates on square ``numpy`` arrays of ``complex128``.
-The algorithms are deliberately self-contained: LU with partial pivoting
-for determinants and solves, a trace recurrence for characteristic
-polynomials, and cyclic complex Jacobi rotations for Hermitian
-eigenvalues.  All of it targets desk-scale matrices (n up to a few dozen),
-where clarity and cross-checkability beat speed.
+Determinants, Hermitian eigenvalues and the inverse behind
+re-unitarization come from ``numpy.linalg`` (LAPACK), which serves as the
+independent numeric route that the closed forms are checked against.  The
+characteristic polynomial keeps its own trace recurrence, because its
+coefficients are what the paper's closed forms and its theorem on
+coefficients below the girth speak about.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ UNITARY_TOL = 1e-10
 EIGENVALUE_GROUP_TOL = 1e-7
 IDENTITY_TOL = 1e-8
 TRACE_SUM_TOL = 1e-9
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 RENORMALIZE_EVERY = 64
 
 
@@ -40,13 +39,6 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def hermitian_defect(m) -> float:
     """Largest entrywise deviation of M from its conjugate transpose."""
     m = as_matrix(m)
@@ -57,57 +49,11 @@ def hermitian_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def _lu_decompose(m: np.ndarray):
-    """In-place LU with partial pivoting; returns (lu, pivots, sign)."""
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    pivots = list(range(n))
-    sign = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) == 0.0:
-            continue
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            pivots[k], pivots[p] = pivots[p], pivots[k]
-            sign = -sign
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return a, pivots, sign
-
-
 def determinant(m) -> complex:
-    """Determinant via LU with partial pivoting."""
+    """Determinant by LAPACK's LU factorization (``numpy.linalg.det``)."""
     m = as_matrix(m)
-    n = _require_square(m)
-    if n == 0:
-        return complex(1.0)
-    lu, _, sign = _lu_decompose(m)
-    return complex(sign * np.prod(np.diag(lu)))
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve A X = B through the LU factorization."""
-    a, b = as_matrix(a), as_matrix(b)
-    n = _require_square(a)
-    if b.shape[0] != n:
-        raise DimensionError(f"incompatible right-hand side {b.shape}")
-    lu, pivots, _ = _lu_decompose(a)
-    x = b[pivots, :].astype(complex)
-    for k in range(n):  # forward substitution, unit lower triangle
-        x[k + 1 :, :] -= np.outer(lu[k + 1 :, k], x[k, :])
-    for k in range(n - 1, -1, -1):  # back substitution
-        if abs(lu[k, k]) == 0.0:
-            raise ContractViolationError("matrix is singular to working precision")
-        x[k, :] /= lu[k, k]
-        x[:k, :] -= np.outer(lu[:k, k], x[k, :])
-    return x
-
-
-def inverse(m) -> np.ndarray:
-    m = as_matrix(m)
-    n = _require_square(m)
-    return solve(m, np.eye(n, dtype=complex))
+    _require_square(m)
+    return complex(np.linalg.det(m))
 
 
 def charpoly(m) -> np.ndarray:
@@ -127,14 +73,6 @@ def charpoly(m) -> np.ndarray:
         am = m @ (am + coeffs[n - k + 1] * eye)
         coeffs[n - k] = -np.trace(am) / k
     return coeffs
-
-
-def polyval(coeffs, x: complex) -> complex:
-    """Evaluate a low-to-high coefficient polynomial by Horner's rule."""
-    acc = complex(0.0)
-    for c in reversed(np.asarray(coeffs, dtype=complex)):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -172,64 +110,26 @@ class Spectrum:
 
 
 def hermitian_eigenvalues(m, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectrum:
-    """Real eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Real eigenvalues of a Hermitian matrix (``numpy.linalg.eigvalsh``).
 
     The input must be Hermitian to ``HERMITICITY_TOL``.  Eigenvalues are
     grouped into multiplicities with ``group_tol`` and their sum is checked
     against the trace.
     """
     m = as_matrix(m)
-    n = _require_square(m)
+    _require_square(m)
     defect = hermitian_defect(m)
     if defect > HERMITICITY_TOL:
         raise ContractViolationError(
             f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})"
         )
-    if n == 0:
-        return Spectrum(())
-    a = (m + m.conj().T) / 2.0  # kill the sub-tolerance defect exactly
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(sum(abs(a[p, q]) ** 2 + abs(a[q, p]) ** 2
-                            for p in range(n - 1) for q in range(p + 1, n)))
-        if off < JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                habs = abs(beta)
-                if habs < 1e-30:
-                    continue
-                phase = beta / habs
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * habs)
-                # annihilation condition: t^2 - 2*theta*t - 1 = 0, small root
-                sign = 1.0 if theta >= 0 else -1.0
-                t = -sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    eigs = [float(x) for x in np.diag(a).real]
+    # symmetrizing kills the sub-tolerance defect exactly
+    eigs = [float(x) for x in np.linalg.eigvalsh((m + m.conj().T) / 2.0)]
     if abs(sum(eigs) - np.trace(m).real) > TRACE_SUM_TOL:
         raise InternalConsistencyError(
             "eigenvalue sum drifted away from the trace"
         )
     return Spectrum.from_values(eigs, tol=group_tol)
-
-
-def matrix_power_step(u, acc) -> np.ndarray:
-    """One powering step: returns acc @ u."""
-    u, acc = as_matrix(u), as_matrix(acc)
-    if u.shape != acc.shape or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"power step needs equal square shapes, got {acc.shape} and {u.shape}")
-    return acc @ u
 
 
 def distance_to_identity(m) -> float:
@@ -248,10 +148,6 @@ def unitary_defect(m) -> float:
     return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0], dtype=complex))))
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    return unitary_defect(m) <= tol
-
-
 def project_to_unitary(m) -> np.ndarray:
     """One Newton step toward the nearest unitary: X <- (X + (X*)^-1) / 2.
 
@@ -260,4 +156,4 @@ def project_to_unitary(m) -> np.ndarray:
     """
     m = as_matrix(m)
     _require_square(m)
-    return (m + inverse(m.conj().T)) / 2.0
+    return (m + np.linalg.inv(m.conj().T)) / 2.0

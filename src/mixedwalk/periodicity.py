@@ -41,7 +41,7 @@ NOT_RUN = "not_run"
 class PeriodReport:
     """Outcome of a periodicity query.
 
-    ``residual`` is the identity distance at the reported period (NaN when
+    ``residual`` is the identity distance at the reported period (None when
     no powering was run); ``cross_check`` records whether an independent
     second route confirmed the period.
     """
@@ -51,7 +51,7 @@ class PeriodReport:
     method: str
     cap_used: int
     cross_check: str
-    residual: float
+    residual: Optional[float]
 
 
 def brute_force_period(
@@ -110,19 +110,6 @@ def cycle_period(n: int, j: int, eta: RationalAngle) -> int:
     return q * n // math.gcd(j, q)
 
 
-def is_periodic_cycle(eta: Angle) -> bool:
-    """Periodicity criterion for mixed cycles carrying at least one
-    one-directional arc: the angle must be a rational multiple of pi.
-
-    A float angle is accepted only through heuristic rational detection
-    with denominator up to 64; that detection is advisory and never used
-    by :func:`period_of` to claim a period.
-    """
-    if is_rational_angle(eta):
-        return True
-    return detect_rational_angle(float(eta)) is not None
-
-
 def detect_rational_angle(
     radians: float, max_q: int = 64, tol: float = 1e-12
 ) -> Optional[RationalAngle]:
@@ -172,7 +159,7 @@ def _closed_form_report(
     u: np.ndarray, tau: int, method: str, cap: int, tol: float
 ) -> PeriodReport:
     if u.shape[0] > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
-        return PeriodReport(True, tau, method, cap, NOT_RUN, float("nan"))
+        return PeriodReport(True, tau, method, cap, NOT_RUN, None)
     brute = brute_force_period(u, max(cap, tau), tol)
     agrees = brute.periodic and brute.period == tau
     return PeriodReport(

@@ -94,17 +94,12 @@ def h_eta(graph: MixedGraph, eta: Angle) -> np.ndarray:
     by construction in conjugate pairs.
     """
     w = complex(np.exp(1j * angle_radians(eta)))
+    phase = {0: complex(1.0), 1: w, -1: w.conjugate()}
     h = np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)
     for u, v in graph.edges:
-        if graph.is_digon(u, v):
-            h[u, v] = 1.0
-            h[v, u] = 1.0
-        elif graph.has_arc(u, v):
-            h[u, v] = w
-            h[v, u] = w.conjugate()
-        else:
-            h[u, v] = w.conjugate()
-            h[v, u] = w
+        z = phase[graph.edge_sign(u, v)]
+        h[u, v] = z
+        h[v, u] = z.conjugate()
     return h
 
 
@@ -197,13 +192,18 @@ def coefficients_agree_up_to_girth(
 def cospectral(
     g1: MixedGraph, g2: MixedGraph, eta: Angle, tol: float = COSPECTRAL_TOL
 ) -> bool:
-    """Equality of characteristic polynomials, coefficient by coefficient.
+    """Equality of the sorted eigenvalues of the two phased matrices, to
+    ``tol`` times the larger spectral radius (at least 1).
 
-    Compares polynomials rather than eigenvalue lists so the answer does not
-    couple to the multiplicity-grouping tolerance.
+    Hermitian eigenvalues are well conditioned, while characteristic-
+    polynomial coefficients grow combinatorially with n, so comparing
+    coefficients to an absolute tolerance fails on large trees.  Raw
+    eigenvalues are compared, not a grouped ``Spectrum``, so the answer does
+    not couple to the multiplicity-grouping tolerance.
     """
     if g1.n_vertices != g2.n_vertices:
         return False
-    a = linalg.charpoly(h_eta(g1, eta))
-    b = linalg.charpoly(h_eta(g2, eta))
-    return bool(np.max(np.abs(a - b)) <= tol)
+    a = np.linalg.eigvalsh(h_eta(g1, eta))
+    b = np.linalg.eigvalsh(h_eta(g2, eta))
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return bool(np.max(np.abs(a - b)) <= tol * scale)

@@ -118,26 +118,6 @@ def recognize_mixed_graph(
     return MixedGraph(n, tuple(arcs))
 
 
-def _cycle_state(graph: MixedGraph) -> tuple[tuple[int, ...], list[int]]:
-    """Traversal order and per-edge signs for a mixed cycle.
-
-    Edge i joins order[i] and order[i+1]; sign +1 means the arc follows the
-    traversal, -1 opposes it, 0 marks a digon.
-    """
-    order = graph.cycle_order()
-    n = graph.n_vertices
-    signs = []
-    for i in range(n):
-        a, b = order[i], order[(i + 1) % n]
-        if graph.is_digon(a, b):
-            signs.append(0)
-        elif graph.has_arc(a, b):
-            signs.append(1)
-        else:
-            signs.append(-1)
-    return order, signs
-
-
 def classify_cycle(graph: MixedGraph) -> int:
     """Type of a mixed cycle: absolute net gain along a traversal.
 
@@ -146,8 +126,7 @@ def classify_cycle(graph: MixedGraph) -> int:
     """
     if not graph.is_cycle_graph():
         raise DomainError("classification needs a mixed cycle")
-    _, signs = _cycle_state(graph)
-    return abs(sum(signs))
+    return abs(sum(_signs_in_order(graph, graph.cycle_order())))
 
 
 def named_move(graph: MixedGraph, eta: Angle, move: str, x: int) -> MixedGraph:
@@ -228,7 +207,7 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
         raise DomainError("canonicalization needs a mixed cycle")
     n = graph.n_vertices
     j_expected = classify_cycle(graph)
-    order, _ = _cycle_state(graph)
+    order = graph.cycle_order()
 
     current = graph
     witness = SwitchingFunction.identity(n, eta)
@@ -318,17 +297,13 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
 
 
 def _signs_in_order(graph: MixedGraph, order: tuple[int, ...]) -> list[int]:
+    """Per-edge signs along a traversal of a mixed cycle.
+
+    Edge i joins order[i] and order[i+1]; sign +1 means the arc follows the
+    traversal, -1 opposes it, 0 marks a digon.
+    """
     n = len(order)
-    signs = []
-    for i in range(n):
-        a, b = order[i], order[(i + 1) % n]
-        if graph.is_digon(a, b):
-            signs.append(0)
-        elif graph.has_arc(a, b):
-            signs.append(1)
-        else:
-            signs.append(-1)
-    return signs
+    return [graph.edge_sign(order[i], order[(i + 1) % n]) for i in range(n)]
 
 
 def _first_opposing_pair_start(signs: list[int]) -> int:

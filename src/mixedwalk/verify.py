@@ -1,7 +1,7 @@
 """End-to-end verification suite.
 
 Each check pits an independent pair of routes against each other at a
-pinned tolerance: closed forms against LU determinants, trace recurrences
+pinned tolerance: closed forms against LAPACK determinants, trace recurrences
 against each other across switching, operator products against entrywise
 formulas, gcd period formulas against matrix powering.  The CLI ``verify``
 subcommand and the acceptance tests both run these.
@@ -59,7 +59,7 @@ def check_quarter_turn_determinant_table(seed: int = 0) -> tuple[bool, str]:
 
 
 def check_cycle_determinant_closed_form(seed: int = 0) -> tuple[bool, str]:
-    """Closed-form cycle determinant vs LU, n in 3..10, all types, all grid angles."""
+    """Closed-form cycle determinant vs LAPACK, n in 3..10, all types, all grid angles."""
     worst, cells = 0.0, 0
     for n in range(3, 11):
         for j in range(n + 1):
@@ -73,7 +73,7 @@ def check_cycle_determinant_closed_form(seed: int = 0) -> tuple[bool, str]:
 
 
 def check_path_determinant_closed_form(seed: int = 0) -> tuple[bool, str]:
-    """Closed-form path determinant vs LU, n in 1..12, all grid angles."""
+    """Closed-form path determinant vs LAPACK, n in 1..12, all grid angles."""
     worst = 0.0
     for n in range(1, 13):
         g = _all_digon_path(n)
@@ -223,7 +223,7 @@ def check_cycle_return_phase(seed: int = 0) -> tuple[bool, str]:
                     worst = max(
                         worst, min(abs(phase - plus), abs(phase - plus.conjugate()))
                     )
-    return worst < 1e-9, f"max phase/support error {worst:.3e}"
+    return bool(worst < 1e-9), f"max phase/support error {worst:.3e}"
 
 
 CHECKS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (

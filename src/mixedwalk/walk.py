@@ -35,15 +35,7 @@ class EtaFunction:
 
     @classmethod
     def from_graph(cls, graph: MixedGraph, index: ArcIndex, eta: Angle) -> "EtaFunction":
-        signs = []
-        for o, t in index.arcs:
-            if graph.has_arc(o, t) and graph.has_arc(t, o):
-                signs.append(0)
-            elif graph.has_arc(o, t):
-                signs.append(1)
-            else:
-                signs.append(-1)
-        return cls(tuple(signs), eta)
+        return cls(tuple(graph.edge_sign(o, t) for o, t in index.arcs), eta)
 
     def theta(self, i: int) -> float:
         return self.signs[i] * angle_radians(self.eta)

@@ -19,6 +19,7 @@ def run(name):
     passed, detail = fn(SEED)
     elapsed = time.perf_counter() - start
     print(f"[{'PASS' if passed else 'FAIL'}] {name} ({elapsed:.2f}s): {detail}")
+    assert type(passed) is bool, f"{name} returned {type(passed).__name__}, not bool"
     return passed, detail, elapsed
 
 

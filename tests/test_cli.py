@@ -6,7 +6,13 @@ import pytest
 from mixedwalk import linalg
 from mixedwalk.cli import main, parse_eta, parse_graph
 from mixedwalk.errors import UsageError
-from mixedwalk.graphs import build_cycle, build_path, from_json_dict, to_json_dict
+from mixedwalk.graphs import (
+    build_cycle,
+    build_path,
+    from_json_dict,
+    random_mixed_graph,
+    to_json_dict,
+)
 from mixedwalk.spectra import RationalAngle
 
 
@@ -119,6 +125,35 @@ class TestCommands:
         assert main(["walk", "--graph", "cycle:n=3,j=0", "--eta", "1.0",
                      "--operators", "Z"]) == 1
         capsys.readouterr()
+
+    def test_bad_tol_and_cap_exit_one(self, capsys):
+        # a negative tolerance used to surface as a route disagreement (exit 2)
+        assert main(["period", "--graph", "cycle:n=4,j=1", "--eta", "pi*1/2",
+                     "--tol", "-1"]) == 1
+        assert main(["period", "--graph", "path:n=5", "--eta", "pi*1/2",
+                     "--cap", "0"]) == 1
+        assert "--cap" in capsys.readouterr().err
+
+    def test_period_without_cross_check_is_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code = main(["period", "--graph", "cycle:n=64,j=7", "--eta", "pi*1/5"])
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == 0
+        assert payload["cross_check"] == "not_run"
+        assert payload["residual"] is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_result_exits_one(self, tmp_path, capsys):
+        # the trace-recurrence charpoly of this dense graph overflows to NaN
+        g = random_mixed_graph(200, np.random.default_rng(0), 0.3)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(to_json_dict(g)))
+        assert main(["spectrum", "--graph", str(path), "--eta", "0.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: result is not finite")
 
     def test_graph_json_emitted_by_spectrum_reloads(self, capsys):
         main(["spectrum", "--graph", "cycle:n=6,j=4", "--eta", "0.5"])

@@ -81,6 +81,15 @@ def test_build_path_variants():
         build_path(1, [])
 
 
+def test_edge_sign_reads_orientation_from_the_first_endpoint():
+    g = build_path(4, ["forward", "backward", "digon"])
+    assert (g.edge_sign(0, 1), g.edge_sign(1, 0)) == (1, -1)
+    assert (g.edge_sign(1, 2), g.edge_sign(2, 1)) == (-1, 1)
+    assert (g.edge_sign(2, 3), g.edge_sign(3, 2)) == (0, 0)
+    with pytest.raises(InvalidGraphError):
+        g.edge_sign(0, 2)
+
+
 def test_underlying_symmetrizes_and_is_idempotent():
     g = build_cycle(8, 3)
     assert g.underlying() == build_cycle(8, 0)

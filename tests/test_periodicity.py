@@ -12,7 +12,6 @@ from mixedwalk.periodicity import (
     brute_force_period,
     cycle_period,
     detect_rational_angle,
-    is_periodic_cycle,
     path_period,
     period_of,
 )
@@ -76,13 +75,6 @@ class TestClosedForms:
 
 
 class TestPeriodicityCriterion:
-    def test_rational_angles_are_periodic(self):
-        assert is_periodic_cycle(RationalAngle(1, 2))
-        assert is_periodic_cycle(RationalAngle(0, 1))
-
-    def test_one_radian_is_not(self):
-        assert not is_periodic_cycle(1.0)
-
     def test_float_detection_is_heuristic_only(self):
         hit = detect_rational_angle(math.pi / 2)
         assert hit == RationalAngle(1, 2)

@@ -224,3 +224,12 @@ class TestCospectral:
 
     def test_different_sizes_are_never_cospectral(self):
         assert not cospectral(build_cycle(4, 0), build_cycle(5, 0), 0.0)
+
+    @pytest.mark.parametrize("n", [25, 40])
+    def test_large_mixed_tree_vs_underlying(self, n):
+        # charpoly coefficients of these trees reach ~1e7, far beyond what an
+        # absolute 1e-8 comparison can resolve; the eigenvalues agree to ~1e-15
+        eta = RationalAngle(1, 3)
+        for seed in range(10):
+            g = random_mixed_tree(n, np.random.default_rng(seed))
+            assert cospectral(g, g.underlying(), eta), f"seed {seed}"
