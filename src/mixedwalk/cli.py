@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -215,16 +214,6 @@ def cmd_period(args) -> int:
     return 2 if report.cross_check == periodicity.DISAGREE else 0
 
 
-def _sweep_cell(cell):
-    n, j, p, q = cell
-    eta = RationalAngle(p, q)
-    tau_formula = periodicity.cycle_period(n, j, eta)
-    ops = walk.time_evolution(build_cycle(n, j), eta)
-    brute = periodicity.brute_force_period(ops.evolution, 2 * eta.q * n)
-    tau_brute = brute.period if brute.periodic else -1
-    return n, j, p, q, tau_formula, tau_brute, tau_formula == tau_brute
-
-
 def cmd_sweep(args) -> int:
     angles = []
     for token in args.angles.split(","):
@@ -234,20 +223,16 @@ def cmd_sweep(args) -> int:
             angles.append((int(p_str), int(q_str)))
         except ValueError as exc:
             raise UsageError(f"sweep angles must be p/q pairs, got {token!r}") from exc
-    cells = [
-        (n, j, p, q)
-        for n in range(args.n_min, args.n_max + 1)
-        for j in range(n + 1)
-        for p, q in angles
-    ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
+    rows = []
+    for n in range(args.n_min, args.n_max + 1):
+        for j in range(n + 1):
+            for p, q in angles:
+                tau, brute = periodicity.cycle_period_by_powering(n, j, RationalAngle(p, q))
+                rows.append((n, j, p, q, tau, brute.period if brute.periodic else -1))
     print("n,j,p,q,tau_formula,tau_brute,agree")
     all_agree = True
-    for n, j, p, q, tf, tb, agree in rows:
+    for n, j, p, q, tf, tb in rows:
+        agree = tf == tb
         all_agree &= agree
         print(f"{n},{j},{p},{q},{tf},{tb},{'true' if agree else 'false'}")
     if not all_agree:
@@ -257,7 +242,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_checks(seed=args.seed, jobs=args.jobs)
+    results = verify.run_checks(seed=args.seed)
     ok = True
     for r in results:
         ok &= r.passed
@@ -323,12 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--angles", default="0/1,1/1,1/2,1/3,2/3,3/4", help="comma list of p/q")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InvalidGraphError
 
 FORWARD = "forward"
@@ -48,17 +50,10 @@ class MixedGraph:
             raise InvalidGraphError("underlying graph is not connected")
 
     def _weakly_connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for o, t in self.arcs:
-            adj[o].append(t)
-            adj[t].append(o)
         seen = {0}
         queue = deque([0])
         while queue:
-            u = queue.popleft()
-            for w in adj[u]:
+            for w in self.adjacency[queue.popleft()]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -106,12 +101,17 @@ class MixedGraph:
         return tuple(sorted(both))
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n_vertices
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbors of every vertex in the underlying graph."""
+        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs)
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(len(a) for a in self.adjacency)
 
     def degree(self, x: int) -> int:
         """Degree of ``x`` in the underlying graph."""
@@ -122,13 +122,7 @@ class MixedGraph:
     def neighbors(self, x: int) -> tuple[int, ...]:
         if not 0 <= x < self.n_vertices:
             raise InvalidGraphError(f"vertex {x} out of range")
-        out = set()
-        for u, v in self.edges:
-            if u == x:
-                out.add(v)
-            elif v == x:
-                out.add(u)
-        return tuple(sorted(out))
+        return self.adjacency[x]
 
     def underlying(self) -> "MixedGraph":
         """Symmetrize every arc into a digon."""
@@ -139,10 +133,7 @@ class MixedGraph:
 
         BFS from every vertex; fine at desk scale.
         """
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self.adjacency
         best: int | float = math.inf
         for root in range(self.n_vertices):
             dist = {root: 0}
@@ -202,29 +193,53 @@ class ArcIndex:
 
     Arcs are sorted lexicographically by (origin, terminus); the inverse of
     every indexed arc is itself indexed, so inversion acts as a fixed-point
-    free involution on positions.
+    free involution on positions.  ``origin``, ``terminus`` and ``inverse``
+    are integer arrays over positions, so operators on the arc space are
+    built by scattering into them.
     """
 
     def __init__(self, graph: MixedGraph):
         self.arcs: tuple[tuple[int, int], ...] = graph.symmetric_arcs
-        self._position = {arc: i for i, arc in enumerate(self.arcs)}
-        self._inverse = tuple(self._position[(t, o)] for o, t in self.arcs)
+        ends = np.array(self.arcs, dtype=np.intp).reshape(-1, 2)
+        self.origin: np.ndarray = ends[:, 0]
+        self.terminus: np.ndarray = ends[:, 1]
+        self._n = graph.n_vertices
+        # lexicographic order is ascending order of origin * n + terminus
+        self._keys = self.origin * self._n + self.terminus
+        self.inverse: np.ndarray = np.searchsorted(self._keys, self.terminus * self._n + self.origin)
 
     def __len__(self) -> int:
         return len(self.arcs)
 
     def index(self, arc: tuple[int, int]) -> int:
-        return self._position[arc]
+        i = int(np.searchsorted(self._keys, arc[0] * self._n + arc[1]))
+        if i == len(self.arcs) or self.arcs[i] != tuple(arc):
+            raise KeyError(arc)
+        return i
 
-    def inverse(self, i: int) -> int:
-        """Position of the reversed arc."""
-        return self._inverse[i]
 
-    def origin(self, i: int) -> int:
-        return self.arcs[i][0]
+#: Orientation symbol -> edge sign, in the convention of ``MixedGraph.edge_sign``.
+EDGE_SIGN = {FORWARD: 1, BACKWARD: -1, DIGON: 0}
+#: Random orientations draw 0, 1 or 2 per edge: forward, backward or digon.
+_DRAWN_SIGN = (1, -1, 0)
 
-    def terminus(self, i: int) -> int:
-        return self.arcs[i][1]
+
+def from_edge_signs(
+    n: int, edges: Iterable[tuple[int, int]], signs: Iterable[int]
+) -> MixedGraph:
+    """Mixed graph with edge (u, v) realized as the arc u -> v for sign +1,
+    the arc v -> u for -1, and a digon for 0."""
+    arcs: list[tuple[int, int]] = []
+    for (u, v), s in zip(edges, signs):
+        if s >= 0:
+            arcs.append((u, v))
+        if s <= 0:
+            arcs.append((v, u))
+    return MixedGraph(n, tuple(arcs))
+
+
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
 
 
 def build_cycle(n: int, j: int) -> MixedGraph:
@@ -233,13 +248,7 @@ def build_cycle(n: int, j: int) -> MixedGraph:
         raise InvalidGraphError(f"a cycle needs n >= 3, got {n}")
     if not 0 <= j <= n:
         raise InvalidGraphError(f"cycle type j={j} outside 0..{n}")
-    arcs: list[tuple[int, int]] = []
-    for i in range(n):
-        o, t = i, (i + 1) % n
-        arcs.append((o, t))
-        if i >= j:
-            arcs.append((t, o))
-    return MixedGraph(n, tuple(arcs))
+    return from_edge_signs(n, _cycle_edges(n), [1] * j + [0] * (n - j))
 
 
 def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
@@ -250,41 +259,55 @@ def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
         raise InvalidGraphError(
             f"orientation length {len(orientation)} != {n - 1}"
         )
-    arcs: list[tuple[int, int]] = []
-    for i, symbol in enumerate(orientation):
-        if symbol == FORWARD:
-            arcs.append((i, i + 1))
-        elif symbol == BACKWARD:
-            arcs.append((i + 1, i))
-        elif symbol == DIGON:
-            arcs.extend([(i, i + 1), (i + 1, i)])
-        else:
-            raise InvalidGraphError(f"unknown orientation symbol {symbol!r}")
-    return MixedGraph(n, tuple(arcs))
+    unknown = [symbol for symbol in orientation if symbol not in EDGE_SIGN]
+    if unknown:
+        raise InvalidGraphError(f"unknown orientation symbol {unknown[0]!r}")
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return from_edge_signs(n, edges, [EDGE_SIGN[symbol] for symbol in orientation])
+
+
+JSON_FIELDS = ("n", "arcs", "edges")
+
+
+def _is_vertex_id(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_pairs(data: dict, field: str) -> list[tuple[int, int]]:
+    pairs = data.get(field, [])
+    if not isinstance(pairs, list):
+        raise InvalidGraphError(f"graph JSON field {field!r} must be a list of pairs")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_vertex_id, pair))):
+            raise InvalidGraphError(
+                f"graph JSON field {field!r} holds {pair!r}; want a pair of integer vertex ids"
+            )
+    return [(o, t) for o, t in pairs]
 
 
 def from_json_dict(data: dict) -> MixedGraph:
     """Load the interchange format ``{"n":, "arcs": [[o,t],..], "edges": [[u,v],..]}``.
 
-    ``edges`` is shorthand for digons.  Duplicates (after expanding edges)
-    and self-loops are rejected.
+    ``edges`` is shorthand for digons; ``arcs`` and ``edges`` default to
+    empty.  ``n`` and every vertex id must be JSON integers and every pair
+    must have two entries; unknown fields, duplicates (after expanding
+    edges) and self-loops are rejected.
     """
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidGraphError("graph JSON needs an integer field 'n'") from exc
-    arcs: list[tuple[int, int]] = []
-    for pair in data.get("arcs", []):
-        o, t = int(pair[0]), int(pair[1])
-        arcs.append((o, t))
-    for pair in data.get("edges", []):
-        u, v = int(pair[0]), int(pair[1])
+    if not isinstance(data, dict):
+        raise InvalidGraphError("graph JSON must be an object with fields 'n', 'arcs', 'edges'")
+    unknown = sorted(str(key) for key in data if key not in JSON_FIELDS)
+    if unknown:
+        raise InvalidGraphError(f"graph JSON has unknown fields {unknown}")
+    if not _is_vertex_id(data.get("n")):
+        raise InvalidGraphError("graph JSON needs an integer field 'n'")
+    arcs = _json_pairs(data, "arcs")
+    for u, v in _json_pairs(data, "edges"):
         if u == v:
             raise InvalidGraphError(f"self-loop edge [{u},{v}]")
         arcs.extend([(u, v), (v, u)])
     if len(set(arcs)) != len(arcs):
         raise InvalidGraphError("duplicate arcs in graph JSON")
-    return MixedGraph(n, tuple(arcs))
+    return MixedGraph(data["n"], tuple(arcs))
 
 
 def to_json_dict(graph: MixedGraph) -> dict:
@@ -308,35 +331,19 @@ def random_mixed_path(n: int, rng) -> MixedGraph:
 
 def random_mixed_cycle(n: int, rng) -> MixedGraph:
     """Cycle on ``n`` vertices with each edge independently digon/forward/backward."""
-    arcs: list[tuple[int, int]] = []
-    for i, symbol in enumerate(_random_orientation(rng, n)):
-        o, t = i, (i + 1) % n
-        if symbol == FORWARD:
-            arcs.append((o, t))
-        elif symbol == BACKWARD:
-            arcs.append((t, o))
-        else:
-            arcs.extend([(o, t), (t, o)])
-    return MixedGraph(n, tuple(arcs))
+    signs = [_DRAWN_SIGN[k] for k in rng.integers(0, 3, size=n)]
+    return from_edge_signs(n, _cycle_edges(n), signs)
 
 
-def _orient_edges(edges: Iterable[tuple[int, int]], rng) -> list[tuple[int, int]]:
-    arcs: list[tuple[int, int]] = []
-    for u, v in edges:
-        symbol = (FORWARD, BACKWARD, DIGON)[int(rng.integers(0, 3))]
-        if symbol == FORWARD:
-            arcs.append((u, v))
-        elif symbol == BACKWARD:
-            arcs.append((v, u))
-        else:
-            arcs.extend([(u, v), (v, u)])
-    return arcs
+def _randomly_oriented(n: int, edges: list[tuple[int, int]], rng) -> MixedGraph:
+    """Orient each edge by its own draw, in edge order."""
+    return from_edge_signs(n, edges, [_DRAWN_SIGN[int(rng.integers(0, 3))] for _ in edges])
 
 
 def random_mixed_tree(n: int, rng) -> MixedGraph:
     """Random attachment tree with random edge orientations."""
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-    return MixedGraph(n, tuple(_orient_edges(edges, rng)))
+    return _randomly_oriented(n, edges, rng)
 
 
 def random_unicyclic(n: int, rng) -> MixedGraph:
@@ -344,9 +351,9 @@ def random_unicyclic(n: int, rng) -> MixedGraph:
     if n < 3:
         raise InvalidGraphError("unicyclic graphs need n >= 3")
     c = int(rng.integers(3, n + 1))
-    edges = [(i, (i + 1) % c) for i in range(c)]
+    edges = _cycle_edges(c)
     edges += [(int(rng.integers(0, i)), i) for i in range(c, n)]
-    return MixedGraph(n, tuple(_orient_edges(edges, rng)))
+    return _randomly_oriented(n, edges, rng)
 
 
 def random_mixed_graph(n: int, rng, extra_edge_prob: float = 0.3) -> MixedGraph:
@@ -358,4 +365,4 @@ def random_mixed_graph(n: int, rng, extra_edge_prob: float = 0.3) -> MixedGraph:
             if frozenset((u, v)) not in present and rng.random() < extra_edge_prob:
                 edges.append((u, v))
                 present.add(frozenset((u, v)))
-    return MixedGraph(n, tuple(_orient_edges(edges, rng)))
+    return _randomly_oriented(n, edges, rng)

@@ -83,11 +83,13 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values, tol: float = EIGENVALUE_GROUP_TOL) -> "Spectrum":
+        """Group sorted values lying within ``tol`` of their group's first
+        value, so that no group spans more than ``tol``."""
         vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
         pairs: list[tuple[complex, int]] = []
         group: list[complex] = []
         for v in vals:
-            if group and abs(v - group[-1]) > tol:
+            if group and abs(v - group[0]) > tol:
                 pairs.append((sum(group) / len(group), len(group)))
                 group = []
             group.append(v)

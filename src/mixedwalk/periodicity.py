@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .graphs import MixedGraph
+from .graphs import MixedGraph, build_cycle
 from .spectra import Angle, RationalAngle, angle_radians, is_rational_angle
 from .switching import classify_cycle
 from .walk import time_evolution
@@ -108,6 +108,16 @@ def cycle_period(n: int, j: int, eta: RationalAngle) -> int:
     if p % 2 == 1:
         return 2 * q * n // math.gcd(j, 2 * q)
     return q * n // math.gcd(j, q)
+
+
+def cycle_period_by_powering(n: int, j: int, eta: RationalAngle) -> tuple[int, PeriodReport]:
+    """The gcd-formula period of the type-j cycle, and the powering report
+    of its evolution searched up to the guaranteed return exponent 2qn.
+
+    The two routes share nothing; callers compare them."""
+    tau = cycle_period(n, j, eta)
+    ops = time_evolution(build_cycle(n, j), eta)
+    return tau, brute_force_period(ops.evolution, 2 * eta.q * n)
 
 
 def detect_rational_angle(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     MoveNotApplicableError,
     NotMixedGraphError,
 )
-from .graphs import MixedGraph, build_cycle
+from .graphs import MixedGraph, build_cycle, from_edge_signs
 from .spectra import Angle, angle_radians, h_eta
 from . import linalg
 
@@ -42,6 +43,26 @@ DEGENERATE_PHASE_TOL = 1e-6
 SW2 = "Sw2"
 SW3 = "Sw3"
 SW4 = "Sw4"
+
+
+class _Move(NamedTuple):
+    """A move as a rewrite of the signs (in, out) of the two edges at the
+    moved vertex, read along a traversal (``_signs_in_order``)."""
+
+    signs: dict[tuple[int, int], tuple[int, int]]
+    bump: int  # change of the vertex's switching exponent
+    needs: str  # the local pattern, for the error message
+
+
+MOVES = {
+    SW2: _Move({(1, -1): (0, 0)}, 1, "both incident arcs one-directional into the vertex"),
+    SW3: _Move({(-1, 1): (0, 0)}, -1, "both incident arcs one-directional out of the vertex"),
+    SW4: _Move(
+        {(1, 0): (0, 1), (0, -1): (-1, 0)},
+        1,
+        "one incident arc one-directional into the vertex and a digon on the other side",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -139,41 +160,27 @@ def named_move(graph: MixedGraph, eta: Angle, move: str, x: int) -> MixedGraph:
         raise DomainError("switching moves are defined on mixed cycles")
     if not 0 <= x < graph.n_vertices:
         raise DomainError(f"vertex {x} out of range")
-    v1, v2 = graph.neighbors(x)
-    arcs = set(graph.arcs)
-
-    def one_directional_into(v):
-        return (v, x) in arcs and (x, v) not in arcs
-
-    def one_directional_out_of(v):
-        return (x, v) in arcs and (v, x) not in arcs
-
-    if move == SW2:
-        if not (one_directional_into(v1) and one_directional_into(v2)):
-            raise MoveNotApplicableError(
-                f"{SW2} at {x} needs both incident arcs one-directional into {x}"
-            )
-        arcs.update({(x, v1), (x, v2)})
-    elif move == SW3:
-        if not (one_directional_out_of(v1) and one_directional_out_of(v2)):
-            raise MoveNotApplicableError(
-                f"{SW3} at {x} needs both incident arcs one-directional out of {x}"
-            )
-        arcs.update({(v1, x), (v2, x)})
-    elif move == SW4:
-        if one_directional_into(v1) and graph.is_digon(x, v2):
-            inward, digon = v1, v2
-        elif one_directional_into(v2) and graph.is_digon(x, v1):
-            inward, digon = v2, v1
-        else:
-            raise MoveNotApplicableError(
-                f"{SW4} at {x} needs one arc one-directional into {x} and a digon on the other side"
-            )
-        arcs.discard((digon, x))
-        arcs.add((x, inward))
-    else:
+    if move not in MOVES:
         raise DomainError(f"unknown move {move!r}")
-    return MixedGraph(graph.n_vertices, tuple(arcs))
+    order = graph.cycle_order()
+    signs = _signs_in_order(graph, order)
+    _apply_move(signs, move, order.index(x), x)
+    return _cycle_from_signs(order, signs)
+
+
+def _apply_move(signs: list[int], move: str, i: int, x: int) -> None:
+    """Rewrite in place the signs of edges i-1 and i, which meet at vertex x."""
+    rule = MOVES[move]
+    try:
+        signs[i - 1], signs[i] = rule.signs[(signs[i - 1], signs[i])]
+    except KeyError:
+        raise MoveNotApplicableError(f"{move} at vertex {x} needs {rule.needs}") from None
+
+
+def _cycle_from_signs(order: tuple[int, ...], signs: list[int]) -> MixedGraph:
+    """Mixed cycle whose edge order[i] - order[i+1] carries signs[i]."""
+    n = len(order)
+    return from_edge_signs(n, [(order[i], order[(i + 1) % n]) for i in range(n)], signs)
 
 
 @dataclass(frozen=True)
@@ -208,41 +215,30 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
     n = graph.n_vertices
     j_expected = classify_cycle(graph)
     order = graph.cycle_order()
-
-    current = graph
-    witness = SwitchingFunction.identity(n, eta)
+    signs = _signs_in_order(graph, order)
+    exponents = [0] * n
     moves: list[tuple[str, int]] = []
     cap = n * n
 
-    def push(move: str, vertex: int):
-        nonlocal current, witness
+    def push(move: str, i: int):
         if len(moves) >= cap:
             raise InternalConsistencyError(
                 f"canonicalization exceeded {cap} moves"
             )
-        current = named_move(current, eta, move, vertex)
-        witness = witness.bumped(vertex, -1 if move == SW3 else 1)
+        vertex = order[i]
+        _apply_move(signs, move, i, vertex)
+        exponents[vertex] += MOVES[move].bump
         moves.append((move, vertex))
 
-    def signs_now() -> list[int]:
-        return _signs_in_order(current, order)
-
     # Stage one: cancel +/- pairs.
-    while True:
-        signs = signs_now()
-        if not (1 in signs and -1 in signs):
-            break
-        a = _first_opposing_pair_start(signs)
-        cur = a
+    while 1 in signs and -1 in signs:
+        cur = _first_opposing_pair_start(signs)
         while signs[(cur + 1) % n] == 0:
-            push(SW4, order[(cur + 1) % n])
-            signs[cur] = 0
             cur = (cur + 1) % n
-            signs[cur] = 1
-        push(SW2, order[(cur + 1) % n])
+            push(SW4, cur)
+        push(SW2, (cur + 1) % n)
 
     # Stage two: compact the aligned arcs against the widest gap.
-    signs = signs_now()
     positions = [i for i, s in enumerate(signs) if s != 0]
     j = len(positions)
     direction = 0 if j == 0 else signs[positions[0]]
@@ -256,16 +252,15 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
                 p = positions[(idx - step) % j]
                 dist = (target - p) % n
                 for k in range(dist):
-                    push(SW4, order[(p + k + 1) % n])
+                    push(SW4, (p + k + 1) % n)
             else:
                 target = (target + 1) % n
                 p = positions[(idx + step) % j]
                 dist = (p - target) % n
                 for k in range(dist):
-                    push(SW4, order[(p - k) % n])
+                    push(SW4, (p - k) % n)
 
     # Relabel the block onto edges 0..j-1 of the canonical cycle.
-    signs = signs_now()
     positions = [i for i, s in enumerate(signs) if s != 0]
     if j == 0 or j == n:  # no gap to respect, any rotation works
         t = 0
@@ -281,7 +276,8 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
         else:
             relabeling[order[(t + k) % n]] = k
 
-    if current.relabeled(relabeling) != build_cycle(n, j):
+    relabeled_order = tuple(relabeling[v] for v in order)
+    if _cycle_from_signs(relabeled_order, signs) != build_cycle(n, j):
         raise InternalConsistencyError("canonical form does not match its type")
     if j != j_expected:
         raise InternalConsistencyError(
@@ -290,7 +286,7 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
     return CycleClassification(
         type_j=j,
         orientation_reversed=reversed_orientation,
-        witness=witness,
+        witness=SwitchingFunction(tuple(exponents), eta),
         relabeling=tuple(relabeling),
         moves=tuple(moves),
     )

@@ -10,7 +10,6 @@ subcommand and the acceptance tests both run these.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,9 +155,7 @@ def check_cycle_period_formula(seed: int = 0) -> tuple[bool, str]:
         for j in range(n + 1):
             for p, q in PERIOD_ANGLE_PAIRS:
                 eta = RationalAngle(p, q)
-                tau = periodicity.cycle_period(n, j, eta)
-                ops = walk.time_evolution(build_cycle(n, j), eta)
-                rep = periodicity.brute_force_period(ops.evolution, 2 * eta.q * n)
+                tau, rep = periodicity.cycle_period_by_powering(n, j, eta)
                 if not (rep.periodic and rep.period == tau):
                     return False, f"n={n}, j={j}, eta={eta}: formula {tau}, powering {rep.period}"
                 cells += 1
@@ -242,16 +239,11 @@ CHECKS: tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...] = (
 )
 
 
-def run_checks(seed: int = 0, jobs: int = 1) -> list[CheckResult]:
-    """Run every check; results come back in registry order regardless of jobs."""
-
-    def run_one(item: tuple[str, Callable[[int], tuple[bool, str]]]) -> CheckResult:
-        name, fn = item
+def run_checks(seed: int = 0) -> list[CheckResult]:
+    """Run every check in registry order."""
+    results = []
+    for name, fn in CHECKS:
         start = time.perf_counter()
         passed, detail = fn(seed)
-        return CheckResult(name, passed, detail, time.perf_counter() - start)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, CHECKS))
-    return [run_one(item) for item in CHECKS]
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
+    return results

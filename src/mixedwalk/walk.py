@@ -62,28 +62,27 @@ def boundary(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
     """Vertex-by-arc averaging operator: row x has 1/sqrt(deg x) on every
     arc terminating at x.  Satisfies K K* = I."""
     index = index or ArcIndex(graph)
+    degrees = np.asarray(graph.degrees, dtype=float)
     k = np.zeros((graph.n_vertices, len(index)), dtype=complex)
-    for i, (_, t) in enumerate(index.arcs):
-        k[t, i] = 1.0 / math.sqrt(graph.degree(t))
+    k[index.terminus, np.arange(len(index))] = 1.0 / np.sqrt(degrees[index.terminus])
     return k
 
 
 def coin(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
     """Reflection coin 2 K* K - I; block diagonal over arcs grouped by terminus."""
     k = boundary(graph, index)
-    m = k.shape[1]
-    return 2.0 * (k.conj().T @ k) - np.eye(m, dtype=complex)
+    c = k.conj().T @ k
+    c *= 2.0
+    c[np.diag_indices_from(c)] -= 1.0
+    return c
 
 
 def shift(graph: MixedGraph, eta: Angle, index: ArcIndex | None = None) -> np.ndarray:
     """Phased arc reversal: entry e^{i theta(b)} at position (b^-1, b)."""
     index = index or ArcIndex(graph)
-    theta = EtaFunction.from_graph(graph, index, eta)
-    phases = theta.phases()
     m = len(index)
     s = np.zeros((m, m), dtype=complex)
-    for b in range(m):
-        s[index.inverse(b), b] = phases[b]
+    s[index.inverse, np.arange(m)] = EtaFunction.from_graph(graph, index, eta).phases()
     return s
 
 
@@ -91,19 +90,20 @@ def evolution_entrywise(
     graph: MixedGraph, index: ArcIndex, theta: EtaFunction
 ) -> np.ndarray:
     """Independent entrywise construction of the evolution matrix:
-    U[a,b] = e^{-i theta(a)} (2/deg t(b) * [o(a) = t(b)] - [a = b^-1])."""
+    U[a,b] = e^{-i theta(a)} (2/deg t(b) * [o(a) = t(b)] - [a = b^-1]).
+
+    Evaluated by broadcasting over all arc pairs; it never forms the shift,
+    the coin or a matrix product, so it stays a second route to U."""
     m = len(index)
+    degrees = np.asarray(graph.degrees, dtype=float)
     u = np.zeros((m, m), dtype=complex)
-    conj_phases = theta.phases().conj()
-    for a in range(m):
-        for b in range(m):
-            val = 0.0
-            if index.origin(a) == index.terminus(b):
-                val += 2.0 / graph.degree(index.terminus(b))
-            if a == index.inverse(b):
-                val -= 1.0
-            if val:
-                u[a, b] = conj_phases[a] * val
+    np.multiply(
+        index.origin[:, None] == index.terminus[None, :],
+        2.0 / degrees[index.terminus],
+        out=u,
+    )
+    u[index.inverse, np.arange(m)] -= 1.0
+    u *= theta.phases().conj()[:, None]
     return u
 
 
@@ -113,11 +113,12 @@ def time_evolution(graph: MixedGraph, eta: Angle) -> WalkOperators:
     index = ArcIndex(graph)
     theta = EtaFunction.from_graph(graph, index, eta)
     k = boundary(graph, index)
-    c = 2.0 * (k.conj().T @ k) - np.eye(len(index), dtype=complex)
+    c = coin(graph, index)
     s = shift(graph, eta, index)
     u = s @ c
-    u_check = evolution_entrywise(graph, index, theta)
-    disagreement = float(np.max(np.abs(u - u_check))) if len(index) else 0.0
+    gap = evolution_entrywise(graph, index, theta)
+    gap -= u
+    disagreement = float(np.max(np.abs(gap))) if len(index) else 0.0
     if disagreement > EVOLUTION_AGREEMENT_TOL:
         raise InternalConsistencyError(
             f"evolution product and entrywise formula disagree by {disagreement:.3e}"

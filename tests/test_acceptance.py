@@ -90,6 +90,6 @@ def test_12_cycle_return_phase():
 def test_cli_verify_runs_green(capsys):
     from mixedwalk.cli import main
 
-    assert main(["verify", "--seed", "1", "--jobs", "4"]) == 0
+    assert main(["verify", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == len(verify.CHECKS)

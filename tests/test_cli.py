@@ -111,13 +111,6 @@ class TestCommands:
         assert len(rows) == (4 + 5) * 2
         assert all(row[-1] == "true" for row in rows)
 
-    def test_sweep_parallel_output_is_deterministic(self, capsys):
-        main(["sweep", "--n-min", "3", "--n-max", "4"])
-        serial = capsys.readouterr().out
-        main(["sweep", "--n-min", "3", "--n-max", "4", "--jobs", "4"])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
     def test_bad_inputs_exit_one(self, capsys):
         assert main(["period", "--graph", "cycle:n=4,j=9", "--eta", "pi*1/2"]) == 1
         assert main(["period", "--graph", "cycle:n=4,j=1", "--eta", "pi*1/0"]) == 1
@@ -125,6 +118,23 @@ class TestCommands:
         assert main(["walk", "--graph", "cycle:n=3,j=0", "--eta", "1.0",
                      "--operators", "Z"]) == 1
         capsys.readouterr()
+
+    def test_malformed_graph_json_exits_one_without_traceback(self, tmp_path, capsys):
+        bad = [
+            {"n": 3, "arcs": [[0, 1.7]], "edges": [[1, 2]]},  # float id
+            {"n": 3, "arcs": [[0]], "edges": [[1, 2]]},  # short pair
+            {"n": 3, "arcs": [["a", 1]], "edges": [[1, 2]]},  # string id
+            {"n": 3, "arcs": [[0, 1]], "edges": [[1, 2]], "bogus": 1},  # unknown field
+            {"n": 3, "arcs": [[0, True]], "edges": [[1, 2]]},  # bool id
+            [[0, 1], [1, 2]],  # not an object
+        ]
+        for i, data in enumerate(bad):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(data))
+            assert main(["spectrum", "--graph", str(path), "--eta", "0.5"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_bad_tol_and_cap_exit_one(self, capsys):
         # a negative tolerance used to surface as a route disagreement (exit 2)

@@ -144,11 +144,23 @@ def test_arc_index_is_fixed_point_free_involution():
         index = ArcIndex(g)
         assert len(index) == 2 * len(g.edges)
         for i in range(len(index)):
-            assert index.inverse(i) != i
-            assert index.inverse(index.inverse(i)) == i
+            assert index.inverse[i] != i
+            assert index.inverse[index.inverse[i]] == i
             o, t = index.arcs[i]
-            assert index.arcs[index.inverse(i)] == (t, o)
+            assert index.arcs[index.inverse[i]] == (t, o)
         assert list(index.arcs) == sorted(index.arcs)
+
+
+def test_arc_index_ends_and_inverse_are_integer_arrays():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        g = random_mixed_graph(int(rng.integers(2, 9)), rng)
+        index = ArcIndex(g)
+        for field in (index.origin, index.terminus, index.inverse):
+            assert field.dtype.kind == "i" and field.shape == (len(index),)
+        assert np.array_equal(index.inverse[index.inverse], np.arange(len(index)))
+        assert [(int(o), int(t)) for o, t in zip(index.origin, index.terminus)] == list(index.arcs)
+        assert np.array_equal(index.origin[index.inverse], index.terminus)
 
 
 def test_json_round_trip():

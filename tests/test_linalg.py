@@ -129,6 +129,14 @@ def test_hermitian_eigenvalues_match_numpy():
         assert max(abs(x - y) for x, y in zip(mine, ref)) < 1e-10
 
 
+def test_spectrum_groups_do_not_chain():
+    # consecutive gaps of 6e-8 sit under the 1e-7 tolerance, the span does not
+    spec = linalg.Spectrum.from_values([0.0, 6e-8, 1.2e-7, 1.8e-7], tol=1e-7)
+    assert [m for _, m in spec.pairs] == [2, 2]
+    assert spec.pairs[0][0] == pytest.approx(3e-8, abs=1e-20)
+    assert spec.pairs[1][0] == pytest.approx(1.5e-7, abs=1e-20)
+
+
 def test_distance_to_identity():
     assert linalg.distance_to_identity(np.eye(4)) == 0.0
     assert linalg.distance_to_identity(-np.eye(2)) == pytest.approx(2.0)

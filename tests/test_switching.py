@@ -263,6 +263,28 @@ class TestCanonicalize:
                 ))
                 assert gap < 1e-12
 
+    def test_figure_cycle_output_is_pinned(self):
+        result = canonicalize_cycle(figure_eight_cycle(), RationalAngle(1, 3))
+        assert result.moves == ((SW4, 4), (SW2, 5), (SW4, 0))
+        assert result.witness.exponents == (1, 0, 0, 0, 1, 1, 0, 0)
+        assert result.relabeling == (0, 1, 2, 3, 4, 5, 6, 7)
+        assert not result.orientation_reversed
+
+    def test_replaying_the_moves_reaches_the_canonical_cycle(self):
+        # canonicalization edits a sign array; named_move rewrites graphs
+        rng = np.random.default_rng(6)
+        eta = RationalAngle(1, 3)
+        for _ in range(60):
+            n = int(rng.integers(3, 25))
+            g = random_mixed_cycle(n, rng)
+            result = canonicalize_cycle(g, eta)
+            alpha = SwitchingFunction.identity(n, eta)
+            for move, x in result.moves:
+                g = named_move(g, eta, move, x)
+                alpha = alpha.bumped(x, -1 if move == SW3 else 1)
+            assert g.relabeled(result.relabeling) == build_cycle(n, result.type_j)
+            assert alpha.exponents == result.witness.exponents
+
     def test_reversed_canonical_reports_reflection(self):
         g = build_cycle(6, 2).reversed_arcs()
         result = canonicalize_cycle(g, RationalAngle(1, 3))

@@ -36,7 +36,7 @@ class TestEtaFunction:
         index = ArcIndex(g)
         theta = EtaFunction.from_graph(g, index, RationalAngle(1, 3))
         for i in range(len(index)):
-            assert theta.theta(i) == pytest.approx(-theta.theta(index.inverse(i)))
+            assert theta.theta(i) == pytest.approx(-theta.theta(index.inverse[i]))
         assert theta.theta(index.index((0, 1))) == 0.0
         assert theta.theta(index.index((1, 3))) == pytest.approx(math.pi / 3)
         assert theta.theta(index.index((3, 1))) == pytest.approx(-math.pi / 3)
@@ -87,7 +87,7 @@ class TestShift:
         s = shift(g, 1.0)
         index = ArcIndex(g)
         for b in range(len(index)):
-            assert s[index.inverse(b), b] == pytest.approx(1.0)
+            assert s[index.inverse[b], b] == pytest.approx(1.0)
 
     def test_one_directional_phases(self):
         g = MixedGraph(2, ((0, 1),))
