@@ -135,12 +135,15 @@ def hermitian_eigenvalues(m, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectru
 
 
 def distance_to_identity(m) -> float:
-    """Max entrywise |M - I|."""
+    """Max entrywise |M - I|, formed as |M| with its diagonal replaced by
+    |diag M - 1| (the same values, without an identity or a difference)."""
     m = as_matrix(m)
     n = _require_square(m)
     if n == 0:
         return 0.0
-    return float(np.max(np.abs(m - np.eye(n, dtype=complex))))
+    gaps = np.abs(m)
+    np.fill_diagonal(gaps, np.abs(np.diagonal(m) - 1.0))
+    return float(np.max(gaps))
 
 
 def unitary_defect(m) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import ContractViolationError, DomainError
 from .graphs import MixedGraph, build_cycle
 from .spectra import Angle, RationalAngle, angle_radians, is_rational_angle
 from .switching import classify_cycle
-from .walk import time_evolution
+from .walk import WalkOperators, time_evolution
 from . import linalg
 
 DEFAULT_CAP = 10_000
@@ -55,13 +55,19 @@ class PeriodReport:
 
 
 def brute_force_period(
-    u, cap: int, tol: float = linalg.IDENTITY_TOL
+    u,
+    cap: int,
+    tol: float = linalg.IDENTITY_TOL,
+    *,
+    step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> PeriodReport:
     """Smallest power (up to ``cap``) bringing a unitary back to the identity.
 
     Every exponent is checked, so a reported period is minimal.  The
     accumulated product is projected back onto the unitary group every 64
-    steps to keep long searches below the drift budget.
+    steps to keep long searches below the drift budget.  ``step`` maps
+    each power of ``u`` to the next (``acc @ u`` by default); walks pass
+    ``WalkOperators.power_step``.
     """
     u = linalg.as_matrix(u)
     if cap < 1:
@@ -71,10 +77,11 @@ def brute_force_period(
         raise ContractViolationError(
             f"matrix is not unitary (defect {defect:.3e})"
         )
+    step = step or (lambda acc: acc @ u)
     acc = np.eye(u.shape[0], dtype=complex)
     best = math.inf
     for tau in range(1, cap + 1):
-        acc = acc @ u
+        acc = step(acc)
         if tau % linalg.RENORMALIZE_EVERY == 0:
             acc = linalg.project_to_unitary(acc)
         dist = linalg.distance_to_identity(acc)
@@ -117,7 +124,7 @@ def cycle_period_by_powering(n: int, j: int, eta: RationalAngle) -> tuple[int, P
     The two routes share nothing; callers compare them."""
     tau = cycle_period(n, j, eta)
     ops = time_evolution(build_cycle(n, j), eta)
-    return tau, brute_force_period(ops.evolution, 2 * eta.q * n)
+    return tau, brute_force_period(ops.evolution, 2 * eta.q * n, step=ops.power_step)
 
 
 def detect_rational_angle(
@@ -148,29 +155,28 @@ def period_of(
     predicted period fits under the powering budget.
     """
     ops = time_evolution(graph, eta)
-    u = ops.evolution
 
     if graph.is_path_graph():
         tau = path_period(graph.n_vertices)
         # The powering cap is the period itself; hitting it proves minimality.
-        return _closed_form_report(u, tau, METHOD_PATH, tau, tol)
+        return _closed_form_report(ops, tau, METHOD_PATH, tau, tol)
 
     if graph.is_cycle_graph() and is_rational_angle(eta):
         j = classify_cycle(graph)
         tau = cycle_period(graph.n_vertices, j, eta)
         # The powering cap is the guaranteed return exponent 2qn.
         guaranteed = 2 * eta.q * graph.n_vertices
-        return _closed_form_report(u, tau, METHOD_CYCLE, guaranteed, tol)
+        return _closed_form_report(ops, tau, METHOD_CYCLE, guaranteed, tol)
 
-    return brute_force_period(u, cap, tol)
+    return brute_force_period(ops.evolution, cap, tol, step=ops.power_step)
 
 
 def _closed_form_report(
-    u: np.ndarray, tau: int, method: str, cap: int, tol: float
+    ops: WalkOperators, tau: int, method: str, cap: int, tol: float
 ) -> PeriodReport:
-    if u.shape[0] > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
+    if len(ops.arc_index) > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
         return PeriodReport(True, tau, method, cap, NOT_RUN, None)
-    brute = brute_force_period(u, max(cap, tau), tol)
+    brute = brute_force_period(ops.evolution, max(cap, tau), tol, step=ops.power_step)
     agrees = brute.periodic and brute.period == tau
     return PeriodReport(
         periodic=True,

@@ -142,7 +142,9 @@ def check_path_period(seed: int = 0) -> tuple[bool, str]:
         for g in candidates:
             for eta in ETA_GRID:
                 ops = walk.time_evolution(g, eta)
-                rep = periodicity.brute_force_period(ops.evolution, 2 * (n - 1))
+                rep = periodicity.brute_force_period(
+                    ops.evolution, 2 * (n - 1), step=ops.power_step
+                )
                 if not (rep.periodic and rep.period == 2 * (n - 1)):
                     return False, f"n={n}, eta={eta}: got {rep.period}"
     return True, "period 2(n-1) confirmed for n in 2..8 on the full grid"
@@ -165,7 +167,9 @@ def check_cycle_period_formula(seed: int = 0) -> tuple[bool, str]:
 def check_irrational_angle_non_periodic(seed: int = 0) -> tuple[bool, str]:
     """The type-1 4-cycle at 1.0 rad never returns to the identity within 10^4 steps."""
     ops = walk.time_evolution(build_cycle(4, 1), 1.0)
-    rep = periodicity.brute_force_period(ops.evolution, periodicity.DEFAULT_CAP)
+    rep = periodicity.brute_force_period(
+        ops.evolution, periodicity.DEFAULT_CAP, step=ops.power_step
+    )
     return (not rep.periodic), f"closest approach to identity {rep.residual:.3e}"
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from . import linalg
 
 EVOLUTION_AGREEMENT_TOL = 1e-10
 SPECTRAL_CLAMP_TOL = 1e-9
+# Arc count from which a powering step runs through the arc arrays rather
+# than as a dense matmul; below it the matmul's lower per-call cost wins.
+STRUCTURED_STEP_MIN_ARCS = 72
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,56 @@ class WalkOperators:
     arc_index: ArcIndex
     eta_function: EtaFunction
 
+    def power_step(self, acc: np.ndarray) -> np.ndarray:
+        """The next power of U after ``acc``, a power of U.
+
+        From ``STRUCTURED_STEP_MIN_ARCS`` arcs on, U @ acc is applied
+        through the arc arrays in O(m^2) instead of the O(m^3) matmul:
+        (U x)[a] = e^{-i theta(a)} (2/deg o(a) * sum_{o(c)=o(a)} x[c^-1] - x[a^-1]).
+        Below that it is the matmul acc @ U, equal to U @ acc for a power of U.
+        """
+        if len(self.evolution) < STRUCTURED_STEP_MIN_ARCS:
+            return acc @ self.evolution
+        gather, runs, scale, phase, restore = self._slot_order
+        y = acc[gather]
+        sums = y[: runs[0][1]].copy()
+        for first, count in runs[1:]:
+            sums[:count] += y[first : first + count]
+        sums *= scale
+        for first, count in runs:
+            y[first : first + count] -= sums[:count]
+        y *= phase
+        return y[restore]
+
+    @cached_property
+    def _slot_order(self):
+        """The arcs in slot order, the row order of the structured step.
+
+        Origin blocks are contiguous, since arcs are sorted by origin.  They
+        are ranked by size, largest first, and slot k holds the k-th arc of
+        every block with more than k arcs.  Those blocks are a prefix of the
+        ranking, so each slot is one run of rows that lines up with the
+        first rows of the block sums.  Returns, per slot row, the row of x
+        it reads (its arc's inverse); the (first row, row count) of each
+        slot; 2/deg per ranked block; -e^{-i theta(a)} per slot row, negated
+        because the rows hold x - sums; and the slot row of each arc, in
+        arc order.
+        """
+        index = self.arc_index
+        _, starts, sizes = np.unique(index.origin, return_index=True, return_counts=True)
+        ranked = np.argsort(-sizes, kind="stable")
+        starts, sizes = starts[ranked], sizes[ranked]
+        slots, runs, first = [], [], 0
+        for k in range(int(sizes[0])):
+            count = int(np.count_nonzero(sizes > k))
+            slots.append(starts[:count] + k)
+            runs.append((first, count))
+            first += count
+        arcs = np.concatenate(slots)
+        gather = index.inverse[arcs]
+        phase = -self.eta_function.phases()[gather]
+        return gather, runs, (2.0 / sizes)[:, None], phase[:, None], np.argsort(arcs)
+
 
 def boundary(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
     """Vertex-by-arc averaging operator: row x has 1/sqrt(deg x) on every
@@ -70,9 +124,15 @@ def boundary(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
 
 def coin(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
     """Reflection coin 2 K* K - I; block diagonal over arcs grouped by terminus."""
-    k = boundary(graph, index)
-    c = k.conj().T @ k
-    c *= 2.0
+    index = index or ArcIndex(graph)
+    return _coin_from_boundary(boundary(graph, index), index)
+
+
+def _coin_from_boundary(k: np.ndarray, index: ArcIndex) -> np.ndarray:
+    # K* has one nonzero per row, at column t(a), so row a of K* K is row
+    # t(a) of K scaled by conj K[t(a), a]
+    c = k[index.terminus]
+    c *= 2.0 * k[index.terminus, np.arange(len(index))].conj()[:, None]
     c[np.diag_indices_from(c)] -= 1.0
     return c
 
@@ -80,9 +140,13 @@ def coin(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
 def shift(graph: MixedGraph, eta: Angle, index: ArcIndex | None = None) -> np.ndarray:
     """Phased arc reversal: entry e^{i theta(b)} at position (b^-1, b)."""
     index = index or ArcIndex(graph)
+    return _shift_from_phases(EtaFunction.from_graph(graph, index, eta).phases(), index)
+
+
+def _shift_from_phases(phases: np.ndarray, index: ArcIndex) -> np.ndarray:
     m = len(index)
     s = np.zeros((m, m), dtype=complex)
-    s[index.inverse, np.arange(m)] = EtaFunction.from_graph(graph, index, eta).phases()
+    s[index.inverse, np.arange(m)] = phases
     return s
 
 
@@ -112,10 +176,13 @@ def time_evolution(graph: MixedGraph, eta: Angle) -> WalkOperators:
     for the evolution must agree or construction aborts."""
     index = ArcIndex(graph)
     theta = EtaFunction.from_graph(graph, index, eta)
+    phases = theta.phases()
     k = boundary(graph, index)
-    c = coin(graph, index)
-    s = shift(graph, eta, index)
-    u = s @ c
+    c = _coin_from_boundary(k, index)
+    s = _shift_from_phases(phases, index)
+    # S is monomial: row a of S C is row a^-1 of C times the phase S[a, a^-1]
+    u = c[index.inverse]
+    u *= phases[index.inverse][:, None]
     gap = evolution_entrywise(graph, index, theta)
     gap -= u
     disagreement = float(np.max(np.abs(gap))) if len(index) else 0.0
@@ -185,7 +252,7 @@ def spectral_map_check(graph: MixedGraph, eta: Angle, k_max: int = 10) -> Spectr
     residuals = []
     acc = np.eye(n_arcs, dtype=complex)
     for k in range(1, k_max + 1):
-        acc = acc @ ops.evolution
+        acc = ops.power_step(acc)
         moment = sum(mult * value**k for value, mult in spectrum.pairs)
         residuals.append(float(abs(np.trace(acc) - moment)))
     return SpectralMapReport(

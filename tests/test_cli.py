@@ -67,6 +67,26 @@ class TestCommands:
         assert payload["period"] == 16
         assert payload["cross_check"] == "agree"
 
+    def test_period_output_below_the_crossover_is_pinned(self, capsys, tmp_path):
+        # literals recorded before powering took the arc-array step
+        graph = {
+            "n": 8,
+            "arcs": [[1, 0], [2, 1], [3, 2], [4, 3], [5, 7], [6, 3], [6, 5], [7, 6]],
+            "edges": [[0, 2], [0, 6], [2, 5]],
+        }
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        assert main(["period", "--graph", str(path), "--eta", "0.9", "--cap", "64"]) == 0
+        assert capsys.readouterr().out == (
+            '{"periodic": false, "period": null, "method": "brute_force", "cap_used": 64, '
+            '"cross_check": "not_run", "residual": 0.6507114002339558, "rational_angle_hint": null}\n'
+        )
+        assert main(["period", "--graph", "cycle:n=5,j=2", "--eta", "pi*1/3"]) == 0
+        assert capsys.readouterr().out == (
+            '{"periodic": true, "period": 15, "method": "closed_form_cycle", "cap_used": 30, '
+            '"cross_check": "agree", "residual": 3.6489874298927905e-15}\n'
+        )
+
     def test_period_irrational(self, capsys):
         code = main(["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "500"])
         payload = json.loads(capsys.readouterr().out)

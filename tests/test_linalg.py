@@ -146,6 +146,16 @@ def test_distance_to_identity():
     assert round(expected, 5) == 0.76537
 
 
+def test_distance_to_identity_equals_the_difference_formula():
+    rng = np.random.default_rng(12)
+    cases = [random_complex(rng, n) for n in (1, 2, 7, 30)]
+    cases += [np.eye(5, dtype=complex) + 1e-9 * random_complex(rng, 5)]
+    cases += [np.eye(5, dtype=complex), -np.eye(5, dtype=complex)]
+    for m in cases:
+        formula = float(np.max(np.abs(m - np.eye(m.shape[0], dtype=complex))))
+        assert linalg.distance_to_identity(m) == formula
+
+
 def test_determinant_equals_eigenvalue_product_for_hermitian():
     rng = np.random.default_rng(7)
     for n in (2, 5, 10):

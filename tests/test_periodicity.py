@@ -5,7 +5,13 @@ import pytest
 
 from mixedwalk import linalg
 from mixedwalk.errors import ContractViolationError, DomainError
-from mixedwalk.graphs import build_cycle, build_path, random_mixed_cycle, random_mixed_path
+from mixedwalk.graphs import (
+    build_cycle,
+    build_path,
+    random_mixed_cycle,
+    random_mixed_graph,
+    random_mixed_path,
+)
 from mixedwalk.periodicity import (
     AGREE,
     DEFAULT_CAP,
@@ -17,7 +23,7 @@ from mixedwalk.periodicity import (
 )
 from mixedwalk.spectra import ETA_GRID, RationalAngle, angle_radians
 from mixedwalk.switching import classify_cycle
-from mixedwalk.walk import time_evolution
+from mixedwalk.walk import STRUCTURED_STEP_MIN_ARCS, time_evolution
 
 
 class TestBruteForce:
@@ -52,6 +58,39 @@ class TestBruteForce:
     def test_rejects_bad_cap(self):
         with pytest.raises(DomainError):
             brute_force_period(np.eye(2, dtype=complex), cap=0)
+
+
+class TestStructuredPowering:
+    def test_step_keeps_the_period_above_the_crossover(self):
+        rng = np.random.default_rng(21)
+        walks = []
+        while len(walks) < 12:  # decimal angles, as in brute-force queries
+            g = random_mixed_graph(int(rng.integers(45, 60)), rng, 0.02)
+            walks.append((g, float(rng.uniform(0.2, 3.0)), 64))
+        cycles = ((48, 1, 2), (50, 1, 3), (53, 2, 3), (56, 1, 4), (60, 1, 1), (64, 0, 1), (49, 3, 4), (51, 1, 5))
+        for n, p, q in cycles:  # rational angles, searched up to the guaranteed return 2qn
+            walks.append((random_mixed_cycle(n, rng), RationalAngle(p, q), 2 * q * n))
+        periodic = 0
+        for g, eta, cap in walks:
+            ops = time_evolution(g, eta)
+            assert len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS
+            dense = brute_force_period(ops.evolution, cap)
+            fast = brute_force_period(ops.evolution, cap, step=ops.power_step)
+            assert (fast.periodic, fast.period, fast.cap_used) == (dense.periodic, dense.period, dense.cap_used)
+            assert fast.residual == pytest.approx(dense.residual, rel=1e-10, abs=1e-10)
+            periodic += fast.periodic
+        assert periodic == 8
+
+    def test_step_is_taken_once_per_power(self):
+        ops = time_evolution(build_cycle(5, 2), RationalAngle(1, 3))
+        calls = []
+
+        def step(acc):
+            calls.append(1)
+            return acc @ ops.evolution
+
+        assert brute_force_period(ops.evolution, 30, step=step) == brute_force_period(ops.evolution, 30)
+        assert len(calls) == 15
 
 
 class TestClosedForms:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedwalk import linalg
+from mixedwalk import linalg, walk
 from mixedwalk.errors import ContractViolationError
 from mixedwalk.graphs import (
     ArcIndex,
@@ -12,9 +12,11 @@ from mixedwalk.graphs import (
     build_path,
     random_mixed_graph,
     random_mixed_path,
+    random_mixed_tree,
 )
 from mixedwalk.spectra import ETA_GRID, RationalAngle, angle_radians
 from mixedwalk.walk import (
+    STRUCTURED_STEP_MIN_ARCS,
     EtaFunction,
     boundary,
     coin,
@@ -23,6 +25,27 @@ from mixedwalk.walk import (
     spectral_map_check,
     time_evolution,
 )
+
+
+def graphs_around_the_crossover():
+    """Paths, cycles (one all-digon), trees, the single edge and random
+    graphs of maximum degree >= 3, with arc spaces on both sides of
+    ``STRUCTURED_STEP_MIN_ARCS``."""
+    rng = np.random.default_rng(12)
+    graphs = [MixedGraph(2, ((0, 1),))]
+    for n in (6, 60):
+        graphs += [
+            random_mixed_path(n, rng),
+            build_cycle(n, n // 3),
+            build_cycle(n, 0),
+            random_mixed_tree(n, rng),
+        ]
+    for n, chords in ((9, 0.3), (9, 0.3), (45, 0.03), (45, 0.03)):
+        g = random_mixed_graph(n, rng, chords)
+        while max(g.degrees) < 3:
+            g = random_mixed_graph(n, rng, chords)
+        graphs.append(g)
+    return graphs
 
 
 def four_vertex_example():
@@ -163,6 +186,15 @@ class TestTimeEvolution:
             assert linalg.unitary_defect(ops.shift) < 1e-10
             assert linalg.unitary_defect(ops.evolution) < 1e-10
 
+    def test_coin_and_evolution_match_dense_products(self):
+        # the build gathers rows; the dense products are the reference
+        for g in graphs_around_the_crossover():
+            ops = time_evolution(g, RationalAngle(2, 7))
+            k = ops.boundary
+            m = len(ops.arc_index)
+            assert np.max(np.abs(ops.coin - (2.0 * (k.conj().T @ k) - np.eye(m)))) < 1e-12
+            assert np.max(np.abs(ops.evolution - ops.shift @ ops.coin)) < 1e-12
+
     def test_product_matches_entrywise_formula(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -211,3 +243,25 @@ class TestSpectralMap:
     def test_rejects_bad_k_max(self):
         with pytest.raises(ContractViolationError):
             spectral_map_check(build_cycle(3, 0), 0.5, k_max=0)
+
+
+class TestPowerStep:
+    def test_arc_array_step_matches_dense_product(self, monkeypatch):
+        # every graph, down to the single edge, takes the arc-array step
+        monkeypatch.setattr(walk, "STRUCTURED_STEP_MIN_ARCS", 0)
+        rng = np.random.default_rng(13)
+        for g in graphs_around_the_crossover():
+            ops = time_evolution(g, 0.7)
+            m = len(ops.arc_index)
+            x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            assert np.max(np.abs(ops.power_step(x) - ops.evolution @ x)) < 1e-12
+
+    def test_next_power_on_both_sides_of_the_crossover(self):
+        sizes = []
+        for g in graphs_around_the_crossover():
+            ops = time_evolution(g, RationalAngle(1, 5))
+            acc = np.linalg.matrix_power(ops.evolution, 3)
+            assert np.max(np.abs(ops.power_step(acc) - ops.evolution @ acc)) < 1e-12
+            sizes.append(len(ops.arc_index))
+        assert min(sizes) == 2
+        assert max(sizes) >= STRUCTURED_STEP_MIN_ARCS > min(sizes)
