@@ -32,6 +32,7 @@ from .graphs import (
 from .spectra import Angle, RationalAngle
 
 ORIENT_CHARS = {"f": FORWARD, "b": BACKWARD, "d": DIGON}
+WALK_OPERATORS = {"U": "evolution", "K": "boundary", "C": "coin", "S": "shift"}
 
 
 def parse_eta(text: str) -> Angle:
@@ -100,7 +101,9 @@ def parse_graph(text: str) -> MixedGraph:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read graph file {text!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides bad syntax: undecodable bytes, integer literals past
+        # Python's digit limit, and nesting past the recursion limit
         raise UsageError(f"graph file {text!r} is not valid JSON: {exc}") from exc
     return from_json_dict(data)
 
@@ -177,19 +180,18 @@ def cmd_classify_cycle(args) -> int:
 def cmd_walk(args) -> int:
     graph = parse_graph(args.graph)
     eta = parse_eta(args.eta)
-    ops = walk.time_evolution(graph, eta)
     wanted = [name.strip().upper() for name in args.operators.split(",") if name.strip()]
-    known = {"U": ops.evolution, "K": ops.boundary, "C": ops.coin, "S": ops.shift}
-    bad = [name for name in wanted if name not in known]
+    bad = [name for name in wanted if name not in WALK_OPERATORS]
     if bad:
         raise UsageError(f"unknown operators {bad}; choose from U,K,C,S")
+    ops = walk.time_evolution(graph, eta)
     payload = {
         "n": graph.n_vertices,
         "eta": _eta_json(eta),
         "arc_order": [list(a) for a in ops.arc_index.arcs],
     }
     for name in wanted:
-        payload[name] = _matrix_json(known[name])
+        payload[name] = _matrix_json(getattr(ops, WALK_OPERATORS[name]))
     _emit(payload, args.format)
     return 0
 
@@ -261,6 +263,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise UsageError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -46,7 +46,9 @@ class MixedGraph:
                 raise InvalidGraphError(f"self-loop at vertex {o}")
             if not (0 <= o < self.n_vertices and 0 <= t < self.n_vertices):
                 raise InvalidGraphError(f"arc ({o},{t}) out of range")
-        if not self._weakly_connected():
+        # a connected graph has at least n - 1 edges; checked before the
+        # adjacency lists, whose size grows with n however few edges there are
+        if self.n_vertices > len(self.edges) + 1 or not self._weakly_connected():
             raise InvalidGraphError("underlying graph is not connected")
 
     def _weakly_connected(self) -> bool:

@@ -199,7 +199,7 @@ def check_evolution_entrywise_formula(seed: int = 0) -> tuple[bool, str]:
         g = random_mixed_graph(n, rng)
         eta = ETA_GRID[int(rng.integers(0, len(ETA_GRID)))]
         ops = walk.time_evolution(g, eta)
-        entrywise = walk.evolution_entrywise(g, ops.arc_index, ops.eta_function)
+        entrywise = walk.evolution_entrywise(g, ops.arc_index, ops.phases)
         worst = max(worst, float(np.max(np.abs(ops.evolution - entrywise))))
     return worst < 1e-12, f"max gap {worst:.3e} over 100 graphs"
 

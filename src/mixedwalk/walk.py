@@ -2,10 +2,10 @@
 
 The state space is spanned by the symmetric arcs.  The evolution is the
 product of an arc-reversing shift, which carries a phase of +-eta on
-one-directional arcs, and the degree-weighted reflection coin.  The
-evolution matrix is always built twice, as the operator product and from
-its entrywise formula, and the two must agree; that agreement is the
-module's core correctness gate.
+one-directional arcs, and the degree-weighted reflection coin.  Dense
+operators are built on first read.  The evolution matrix is built twice, as
+the operator product and from its entrywise formula, and the two must agree;
+that agreement is the module's core correctness gate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolationError, InternalConsistencyError
+from .errors import ContractViolationError, DomainError, InternalConsistencyError
 from .graphs import ArcIndex, MixedGraph
 from .spectra import Angle, angle_radians, normalized_h_eta
 from . import linalg
@@ -26,40 +26,81 @@ SPECTRAL_CLAMP_TOL = 1e-9
 # Arc count from which a powering step runs through the arc arrays rather
 # than as a dense matmul; below it the matmul's lower per-call cost wins.
 STRUCTURED_STEP_MIN_ARCS = 72
+# Largest arc space whose dense operators are built; one complex m x m
+# array takes 268 MB at this size.
+MAX_DENSE_ARCS = 4096
 
 
-@dataclass(frozen=True)
-class EtaFunction:
-    """Arc phase assignment: +eta on one-directional arcs, -eta on their
-    reverses, 0 on digons.  Stored as integer signs so the antisymmetry
-    theta(a^-1) = -theta(a) is exact."""
-
-    signs: tuple[int, ...]
-    eta: Angle
-
-    @classmethod
-    def from_graph(cls, graph: MixedGraph, index: ArcIndex, eta: Angle) -> "EtaFunction":
-        return cls(tuple(graph.edge_sign(o, t) for o, t in index.arcs), eta)
-
-    def theta(self, i: int) -> float:
-        return self.signs[i] * angle_radians(self.eta)
-
-    def phases(self) -> np.ndarray:
-        """e^{i theta(a)} per arc position."""
-        rad = angle_radians(self.eta)
-        return np.exp(1j * rad * np.asarray(self.signs, dtype=float))
+def _check_dense_size(m: int) -> None:
+    if m > MAX_DENSE_ARCS:
+        raise DomainError(f"{m} arcs; dense walk operators are built up to {MAX_DENSE_ARCS} arcs")
 
 
 @dataclass(frozen=True)
 class WalkOperators:
-    """The four walk matrices plus the arc order they are written in."""
+    """The walk at one angle, held as its arc arrays.  The dense operators
+    K, C, S and U are built on first read, none above ``MAX_DENSE_ARCS``
+    arcs, and U only once it passes the agreement gate."""
 
-    boundary: np.ndarray
-    coin: np.ndarray
-    shift: np.ndarray
-    evolution: np.ndarray
+    graph: MixedGraph
     arc_index: ArcIndex
-    eta_function: EtaFunction
+    eta: Angle
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """e^{i theta(a)} per arc: theta is +eta on one-directional arcs, -eta
+        on their reverses, 0 on digons, read from exact integer edge signs."""
+        signs = [self.graph.edge_sign(o, t) for o, t in self.arc_index.arcs]
+        return np.exp(1j * angle_radians(self.eta) * np.asarray(signs, dtype=float))
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        """Vertex-by-arc averaging operator: row x has 1/sqrt(deg x) on every
+        arc terminating at x.  Satisfies K K* = I."""
+        index = self.arc_index
+        _check_dense_size(len(index))
+        degrees = np.asarray(self.graph.degrees, dtype=float)
+        k = np.zeros((self.graph.n_vertices, len(index)), dtype=complex)
+        k[index.terminus, np.arange(len(index))] = 1.0 / np.sqrt(degrees[index.terminus])
+        return k
+
+    @cached_property
+    def coin(self) -> np.ndarray:
+        """Reflection coin 2 K* K - I; block diagonal over arcs grouped by terminus."""
+        index, k = self.arc_index, self.boundary
+        # K* has one nonzero per row, at column t(a), so row a of K* K is row
+        # t(a) of K scaled by conj K[t(a), a]
+        c = k[index.terminus]
+        c *= 2.0 * k[index.terminus, np.arange(len(index))].conj()[:, None]
+        c[np.diag_indices_from(c)] -= 1.0
+        return c
+
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """Phased arc reversal: entry e^{i theta(b)} at position (b^-1, b)."""
+        index = self.arc_index
+        m = len(index)
+        _check_dense_size(m)
+        s = np.zeros((m, m), dtype=complex)
+        s[index.inverse, np.arange(m)] = self.phases
+        return s
+
+    @cached_property
+    def evolution(self) -> np.ndarray:
+        """U = S C, checked against ``evolution_entrywise`` before it is
+        first returned; a gap above ``EVOLUTION_AGREEMENT_TOL`` raises."""
+        index = self.arc_index
+        # S is monomial: row a of S C is row a^-1 of C times the phase S[a, a^-1]
+        u = self.coin[index.inverse]
+        u *= self.phases[index.inverse][:, None]
+        gap = evolution_entrywise(self.graph, index, self.phases)
+        gap -= u
+        disagreement = float(np.max(np.abs(gap))) if len(index) else 0.0
+        if disagreement > EVOLUTION_AGREEMENT_TOL:
+            raise InternalConsistencyError(
+                f"evolution product and entrywise formula disagree by {disagreement:.3e}"
+            )
+        return u
 
     def power_step(self, acc: np.ndarray) -> np.ndarray:
         """The next power of U after ``acc``, a power of U.
@@ -69,7 +110,7 @@ class WalkOperators:
         (U x)[a] = e^{-i theta(a)} (2/deg o(a) * sum_{o(c)=o(a)} x[c^-1] - x[a^-1]).
         Below that it is the matmul acc @ U, equal to U @ acc for a power of U.
         """
-        if len(self.evolution) < STRUCTURED_STEP_MIN_ARCS:
+        if len(self.arc_index) < STRUCTURED_STEP_MIN_ARCS:
             return acc @ self.evolution
         gather, runs, scale, phase, restore = self._slot_order
         y = acc[gather]
@@ -96,6 +137,8 @@ class WalkOperators:
         because the rows hold x - sums; and the slot row of each arc, in
         arc order.
         """
+        # the step applies U without reading it, so U is built and gated first
+        self.evolution
         index = self.arc_index
         _, starts, sizes = np.unique(index.origin, return_index=True, return_counts=True)
         ranked = np.argsort(-sizes, kind="stable")
@@ -108,57 +151,19 @@ class WalkOperators:
             first += count
         arcs = np.concatenate(slots)
         gather = index.inverse[arcs]
-        phase = -self.eta_function.phases()[gather]
+        phase = -self.phases[gather]
         return gather, runs, (2.0 / sizes)[:, None], phase[:, None], np.argsort(arcs)
 
 
-def boundary(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
-    """Vertex-by-arc averaging operator: row x has 1/sqrt(deg x) on every
-    arc terminating at x.  Satisfies K K* = I."""
-    index = index or ArcIndex(graph)
-    degrees = np.asarray(graph.degrees, dtype=float)
-    k = np.zeros((graph.n_vertices, len(index)), dtype=complex)
-    k[index.terminus, np.arange(len(index))] = 1.0 / np.sqrt(degrees[index.terminus])
-    return k
-
-
-def coin(graph: MixedGraph, index: ArcIndex | None = None) -> np.ndarray:
-    """Reflection coin 2 K* K - I; block diagonal over arcs grouped by terminus."""
-    index = index or ArcIndex(graph)
-    return _coin_from_boundary(boundary(graph, index), index)
-
-
-def _coin_from_boundary(k: np.ndarray, index: ArcIndex) -> np.ndarray:
-    # K* has one nonzero per row, at column t(a), so row a of K* K is row
-    # t(a) of K scaled by conj K[t(a), a]
-    c = k[index.terminus]
-    c *= 2.0 * k[index.terminus, np.arange(len(index))].conj()[:, None]
-    c[np.diag_indices_from(c)] -= 1.0
-    return c
-
-
-def shift(graph: MixedGraph, eta: Angle, index: ArcIndex | None = None) -> np.ndarray:
-    """Phased arc reversal: entry e^{i theta(b)} at position (b^-1, b)."""
-    index = index or ArcIndex(graph)
-    return _shift_from_phases(EtaFunction.from_graph(graph, index, eta).phases(), index)
-
-
-def _shift_from_phases(phases: np.ndarray, index: ArcIndex) -> np.ndarray:
-    m = len(index)
-    s = np.zeros((m, m), dtype=complex)
-    s[index.inverse, np.arange(m)] = phases
-    return s
-
-
-def evolution_entrywise(
-    graph: MixedGraph, index: ArcIndex, theta: EtaFunction
-) -> np.ndarray:
+def evolution_entrywise(graph: MixedGraph, index: ArcIndex, phases: np.ndarray) -> np.ndarray:
     """Independent entrywise construction of the evolution matrix:
-    U[a,b] = e^{-i theta(a)} (2/deg t(b) * [o(a) = t(b)] - [a = b^-1]).
+    U[a,b] = e^{-i theta(a)} (2/deg t(b) * [o(a) = t(b)] - [a = b^-1]),
+    with ``phases`` holding e^{i theta(a)} per arc.
 
     Evaluated by broadcasting over all arc pairs; it never forms the shift,
     the coin or a matrix product, so it stays a second route to U."""
     m = len(index)
+    _check_dense_size(m)
     degrees = np.asarray(graph.degrees, dtype=float)
     u = np.zeros((m, m), dtype=complex)
     np.multiply(
@@ -167,32 +172,14 @@ def evolution_entrywise(
         out=u,
     )
     u[index.inverse, np.arange(m)] -= 1.0
-    u *= theta.phases().conj()[:, None]
+    u *= phases.conj()[:, None]
     return u
 
 
 def time_evolution(graph: MixedGraph, eta: Angle) -> WalkOperators:
-    """Build all walk operators; the product form and the entrywise formula
-    for the evolution must agree or construction aborts."""
-    index = ArcIndex(graph)
-    theta = EtaFunction.from_graph(graph, index, eta)
-    phases = theta.phases()
-    k = boundary(graph, index)
-    c = _coin_from_boundary(k, index)
-    s = _shift_from_phases(phases, index)
-    # S is monomial: row a of S C is row a^-1 of C times the phase S[a, a^-1]
-    u = c[index.inverse]
-    u *= phases[index.inverse][:, None]
-    gap = evolution_entrywise(graph, index, theta)
-    gap -= u
-    disagreement = float(np.max(np.abs(gap))) if len(index) else 0.0
-    if disagreement > EVOLUTION_AGREEMENT_TOL:
-        raise InternalConsistencyError(
-            f"evolution product and entrywise formula disagree by {disagreement:.3e}"
-        )
-    return WalkOperators(
-        boundary=k, coin=c, shift=s, evolution=u, arc_index=index, eta_function=theta
-    )
+    """The walk on ``graph`` at angle ``eta``; no dense operator is built
+    until one is read."""
+    return WalkOperators(graph, ArcIndex(graph), eta)
 
 
 @dataclass(frozen=True)
@@ -250,7 +237,8 @@ def spectral_map_check(graph: MixedGraph, eta: Angle, k_max: int = 10) -> Spectr
     spectrum = linalg.Spectrum.from_values(predicted, tol=1e-9)
 
     residuals = []
-    acc = np.eye(n_arcs, dtype=complex)
+    # reading U runs the size guard and the gate before the m x m accumulator
+    acc = np.eye(len(ops.evolution), dtype=complex)
     for k in range(1, k_max + 1):
         acc = ops.power_step(acc)
         moment = sum(mult * value**k for value, mult in spectrum.pairs)

@@ -86,6 +86,27 @@ class TestCommands:
             '{"periodic": true, "period": 15, "method": "closed_form_cycle", "cap_used": 30, '
             '"cross_check": "agree", "residual": 3.6489874298927905e-15}\n'
         )
+        # recorded while time_evolution still built every operator eagerly
+        assert main(["walk", "--graph", "path:n=3,orient=fd", "--eta", "pi*1/3",
+                     "--operators", "U,K,C,S"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n": 3, "eta": {"kind": "rational", "p": 1, "q": 3}, "arc_order": [[0, 1], [1, 0], [1, 2], [2, 1]], '
+            '"U": [[[0.0, 0.0], [0.5000000000000001, -0.8660254037844386], [0.0, 0.0], [0.0, 0.0]], '
+            '[[-1.1102230246251568e-16, -1.9229626863835638e-16], [0.0, 0.0], [0.0, 0.0], [0.5, 0.8660254037844384]], '
+            '[[0.9999999999999998, 0.0], [0.0, 0.0], [0.0, 0.0], [-2.220446049250313e-16, 0.0]], '
+            '[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]], '
+            '"K": [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+            '[[0.7071067811865475, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865475, 0.0]], '
+            '[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]], '
+            '"C": [[[-2.220446049250313e-16, 0.0], [0.0, 0.0], [0.0, 0.0], [0.9999999999999998, 0.0]], '
+            '[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+            '[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], '
+            '[[0.9999999999999998, 0.0], [0.0, 0.0], [0.0, 0.0], [-2.220446049250313e-16, 0.0]]], '
+            '"S": [[[0.0, 0.0], [0.5000000000000001, -0.8660254037844386], [0.0, 0.0], [0.0, 0.0]], '
+            '[[0.5000000000000001, 0.8660254037844386], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+            '[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], '
+            '[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}\n'
+        )
 
     def test_period_irrational(self, capsys):
         code = main(["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "500"])
@@ -155,6 +176,29 @@ class TestCommands:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_unparseable_graph_file_exits_one_without_traceback(self, tmp_path, capsys):
+        files = {
+            "long-int.json": '{"n": ' + "9" * 5000 + ', "arcs": []}',  # past the digit limit
+            "deep.json": "[" * 100_000 + "]" * 100_000,  # past the recursion limit
+        }
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["spectrum", "--graph", str(path), "--eta", "0.5"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        path = tmp_path / "latin-1.json"
+        path.write_bytes(b'{"n": 2, "edges": [[0, 1]], "\xe9": 0}')
+        assert main(["spectrum", "--graph", str(path), "--eta", "0.5"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err.splitlines()[-1]
 
     def test_bad_tol_and_cap_exit_one(self, capsys):
         # a negative tolerance used to surface as a route disagreement (exit 2)

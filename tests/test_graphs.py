@@ -137,6 +137,16 @@ def test_graph_validation():
         MixedGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))  # disconnected
 
 
+def test_too_few_edges_rejected_before_the_adjacency_lists(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built adjacency lists for a graph with too few edges")
+
+    monkeypatch.setattr(MixedGraph, "_weakly_connected", refuse)
+    for n in (3, 4_000_000, 10**30):
+        with pytest.raises(InvalidGraphError, match="not connected"):
+            MixedGraph(n, ((0, 1), (1, 0)))
+
+
 def test_arc_index_is_fixed_point_free_involution():
     rng = np.random.default_rng(11)
     for _ in range(20):

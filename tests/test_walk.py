@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mixedwalk import linalg, walk
-from mixedwalk.errors import ContractViolationError
+from mixedwalk.cli import main
+from mixedwalk.errors import ContractViolationError, DomainError, InternalConsistencyError
 from mixedwalk.graphs import (
     ArcIndex,
     MixedGraph,
@@ -14,14 +16,11 @@ from mixedwalk.graphs import (
     random_mixed_path,
     random_mixed_tree,
 )
+from mixedwalk.periodicity import period_of
 from mixedwalk.spectra import ETA_GRID, RationalAngle, angle_radians
 from mixedwalk.walk import (
     STRUCTURED_STEP_MIN_ARCS,
-    EtaFunction,
-    boundary,
-    coin,
     evolution_entrywise,
-    shift,
     spectral_map_check,
     time_evolution,
 )
@@ -55,43 +54,43 @@ def four_vertex_example():
 
 class TestEtaFunction:
     def test_antisymmetric_and_zero_on_digons(self):
-        g = four_vertex_example()
-        index = ArcIndex(g)
-        theta = EtaFunction.from_graph(g, index, RationalAngle(1, 3))
+        ops = time_evolution(four_vertex_example(), RationalAngle(1, 3))
+        index = ops.arc_index
+        theta = np.angle(ops.phases)
         for i in range(len(index)):
-            assert theta.theta(i) == pytest.approx(-theta.theta(index.inverse[i]))
-        assert theta.theta(index.index((0, 1))) == 0.0
-        assert theta.theta(index.index((1, 3))) == pytest.approx(math.pi / 3)
-        assert theta.theta(index.index((3, 1))) == pytest.approx(-math.pi / 3)
+            assert theta[i] == pytest.approx(-theta[index.inverse[i]])
+        assert theta[index.index((0, 1))] == 0.0
+        assert theta[index.index((1, 3))] == pytest.approx(math.pi / 3)
+        assert theta[index.index((3, 1))] == pytest.approx(-math.pi / 3)
 
 
 class TestBoundary:
     def test_single_digon(self):
         g = build_path(2, ["digon"])
-        k = boundary(g)
+        k = time_evolution(g, 1.0).boundary
         assert np.array_equal(k, np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_cycle_rows_have_two_entries(self):
         g = build_cycle(5, 2)
-        k = boundary(g)
+        k = time_evolution(g, 1.0).boundary
         for row in np.asarray(k):
             vals = sorted(abs(z) for z in row if abs(z) > 0)
             assert vals == pytest.approx([1 / math.sqrt(2)] * 2)
 
     def test_rows_are_orthonormal(self):
         g = build_cycle(5, 2)
-        k = boundary(g)
+        k = time_evolution(g, 1.0).boundary
         assert np.max(np.abs(k @ k.conj().T - np.eye(5))) < 1e-12
 
 
 class TestCoin:
     def test_degree_one_block_is_scalar_one(self):
         g = build_path(2, ["digon"])
-        assert np.max(np.abs(coin(g) - np.eye(2))) < 1e-15
+        assert np.max(np.abs(time_evolution(g, 1.0).coin - np.eye(2))) < 1e-15
 
     def test_degree_two_block_swaps(self):
         g = build_cycle(3, 0)
-        c = coin(g)
+        c = time_evolution(g, 1.0).coin
         index = ArcIndex(g)
         # arcs into vertex 0 are (1,0) and (2,0); that block is the swap
         a, b = index.index((1, 0)), index.index((2, 0))
@@ -99,7 +98,7 @@ class TestCoin:
         assert c[a, b] == pytest.approx(1.0)
 
     def test_is_involution(self):
-        c = coin(build_cycle(6, 3))
+        c = time_evolution(build_cycle(6, 3), 1.0).coin
         assert np.max(np.abs(c @ c - np.eye(c.shape[0]))) < 1e-10
         assert np.max(np.abs(c - c.conj().T)) < 1e-12
 
@@ -107,7 +106,7 @@ class TestCoin:
 class TestShift:
     def test_all_digon_graph_is_plain_reversal(self):
         g = build_cycle(4, 0)
-        s = shift(g, 1.0)
+        s = time_evolution(g, 1.0).shift
         index = ArcIndex(g)
         for b in range(len(index)):
             assert s[index.inverse[b], b] == pytest.approx(1.0)
@@ -115,14 +114,14 @@ class TestShift:
     def test_one_directional_phases(self):
         g = MixedGraph(2, ((0, 1),))
         eta = RationalAngle(1, 3)
-        s = shift(g, eta)
+        s = time_evolution(g, eta).shift
         index = ArcIndex(g)
         w = np.exp(1j * math.pi / 3)
         assert s[index.index((1, 0)), index.index((0, 1))] == pytest.approx(w)
         assert s[index.index((0, 1)), index.index((1, 0))] == pytest.approx(w.conjugate())
 
     def test_is_involution(self):
-        s = shift(build_cycle(4, 4), RationalAngle(1, 3))
+        s = time_evolution(build_cycle(4, 4), RationalAngle(1, 3)).shift
         assert np.max(np.abs(s @ s - np.eye(s.shape[0]))) < 1e-10
 
 
@@ -201,7 +200,7 @@ class TestTimeEvolution:
             g = random_mixed_graph(int(rng.integers(2, 11)), rng)
             eta = ETA_GRID[int(rng.integers(0, len(ETA_GRID)))]
             ops = time_evolution(g, eta)
-            check = evolution_entrywise(g, ops.arc_index, ops.eta_function)
+            check = evolution_entrywise(g, ops.arc_index, ops.phases)
             assert np.max(np.abs(ops.evolution - check)) < 1e-12
 
 
@@ -265,3 +264,64 @@ class TestPowerStep:
             sizes.append(len(ops.arc_index))
         assert min(sizes) == 2
         assert max(sizes) >= STRUCTURED_STEP_MIN_ARCS > min(sizes)
+
+
+def corrupt_one_phase(monkeypatch):
+    """Feed the entrywise route a phase turned by 0.1 rad on one arc."""
+    entrywise = walk.evolution_entrywise
+
+    def corrupted(graph, index, phases):
+        phases = phases.copy()
+        phases[int(np.flatnonzero(phases != 1.0)[0])] *= np.exp(0.1j)
+        return entrywise(graph, index, phases)
+
+    monkeypatch.setattr(walk, "evolution_entrywise", corrupted)
+
+
+class TestDenseOnRead:
+    def test_closed_form_period_never_builds_u(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the evolution matrix was built")
+
+        monkeypatch.setattr(walk, "evolution_entrywise", refuse)
+        assert period_of(build_cycle(2048, 7), RationalAngle(1, 5)).period == 20480
+        # at desk scale the closed form is cross-checked, and that reads U
+        with pytest.raises(AssertionError):
+            period_of(build_cycle(6, 1), RationalAngle(1, 5))
+
+    def test_wrong_phase_fails_the_gate_when_u_is_read(self, monkeypatch):
+        corrupt_one_phase(monkeypatch)
+        ops = time_evolution(four_vertex_example(), 0.9)
+        with pytest.raises(InternalConsistencyError):
+            ops.evolution
+
+    def test_wrong_phase_fails_the_first_structured_step(self, monkeypatch):
+        corrupt_one_phase(monkeypatch)
+        ops = time_evolution(build_cycle(40, 3), 0.9)
+        assert len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS
+        with pytest.raises(InternalConsistencyError):
+            ops.power_step(np.eye(len(ops.arc_index), dtype=complex))
+
+    def test_size_guard_refuses_every_dense_operator(self, monkeypatch, capsys):
+        monkeypatch.setattr(walk, "MAX_DENSE_ARCS", 16)
+        ops = time_evolution(build_cycle(9, 2), 0.5)  # 18 arcs
+        for name in ("boundary", "coin", "shift", "evolution"):
+            with pytest.raises(DomainError):
+                getattr(ops, name)
+        with pytest.raises(DomainError):
+            evolution_entrywise(ops.graph, ops.arc_index, ops.phases)
+        with pytest.raises(DomainError):
+            spectral_map_check(ops.graph, 0.5)
+        assert time_evolution(build_cycle(8, 2), 0.5).evolution.shape == (16, 16)
+        for argv in (
+            ["walk", "--graph", "cycle:n=9,j=2", "--eta", "0.5", "--operators", "K"],
+            ["period", "--graph", "cycle:n=9,j=2", "--eta", "0.5"],
+            ["sweep", "--n-min", "9", "--n-max", "9", "--angles", "1/2"],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "16 arcs" in captured.err
+        # closed-form periods never read U, so the guard does not bound them
+        assert main(["period", "--graph", "cycle:n=20,j=3", "--eta", "pi*1/5"]) == 0
+        assert json.loads(capsys.readouterr().out)["period"] == 200
