@@ -10,6 +10,7 @@ internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,6 +34,9 @@ from .spectra import Angle, RationalAngle
 
 ORIENT_CHARS = {"f": FORWARD, "b": BACKWARD, "d": DIGON}
 WALK_OPERATORS = {"U": "evolution", "K": "boundary", "C": "coin", "S": "shift"}
+# Largest n a cycle:/path: spec may ask for; checked before any edge list
+# is built.  The gcd-formula period at this size takes about a second.
+MAX_BUILDER_VERTICES = 65_536
 
 
 def parse_eta(text: str) -> Angle:
@@ -80,6 +84,8 @@ def parse_graph(text: str) -> MixedGraph:
             n = int(fields.pop("n"))
         except (KeyError, ValueError) as exc:
             raise UsageError(f"graph spec {text!r} needs an integer n") from exc
+        if n > MAX_BUILDER_VERTICES:
+            raise UsageError(f"graph spec {text!r}: n above the builder limit {MAX_BUILDER_VERTICES}")
         try:
             if kind == "cycle":
                 j = int(fields.pop("j", 0))
@@ -283,7 +289,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call in the process (argparse keeps no state between parses).
+    Flag defaults such as ``DEFAULT_CAP`` and ``IDENTITY_TOL`` are read once,
+    at that first build."""
     parser = _Parser(prog="mixedwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -326,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,15 +134,26 @@ def hermitian_eigenvalues(m, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectru
     return Spectrum.from_values(eigs, tol=group_tol)
 
 
-def distance_to_identity(m) -> float:
+def distance_to_identity(m, floor: float = math.inf) -> float:
     """Max entrywise |M - I|, formed as |M| with its diagonal replaced by
-    |diag M - 1| (the same values, without an identity or a difference)."""
+    |diag M - 1| (the same values, without an identity or a difference).
+
+    The diagonal is read first: when its largest gap g = max|diag M - 1|
+    is at least ``floor``, g is returned as it is, a lower bound on the
+    distance that is itself at least ``floor``.  Otherwise the exact
+    distance is returned.  A search that only needs distances below a
+    running minimum passes that minimum and skips the O(n^2) pass.
+    """
     m = as_matrix(m)
     n = _require_square(m)
     if n == 0:
         return 0.0
+    diagonal_gaps = np.abs(np.diagonal(m) - 1.0)
+    g = float(np.max(diagonal_gaps))
+    if g >= floor:
+        return g
     gaps = np.abs(m)
-    np.fill_diagonal(gaps, np.abs(np.diagonal(m) - 1.0))
+    np.fill_diagonal(gaps, diagonal_gaps)
     return float(np.max(gaps))
 
 

@@ -68,6 +68,12 @@ def brute_force_period(
     steps to keep long searches below the drift budget.  ``step`` maps
     each power of ``u`` to the next (``acc @ u`` by default); walks pass
     ``WalkOperators.power_step``.
+
+    Each power's distance to the identity is screened by its diagonal
+    against the closest approach so far.  The search returns as soon as a
+    distance falls below ``tol``, so that approach is never below ``tol``
+    while it runs, and a power whose diagonal alone is at least as far is
+    neither the period nor a closer approach.
     """
     u = linalg.as_matrix(u)
     if cap < 1:
@@ -84,7 +90,9 @@ def brute_force_period(
         acc = step(acc)
         if tau % linalg.RENORMALIZE_EVERY == 0:
             acc = linalg.project_to_unitary(acc)
-        dist = linalg.distance_to_identity(acc)
+        # the screen stays inside distance_to_identity, so every power still
+        # makes exactly one call: traces count those calls as powering steps
+        dist = linalg.distance_to_identity(acc, floor=best)
         best = min(best, dist)
         if dist < tol:
             return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)

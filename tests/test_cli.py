@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixedwalk import linalg
+import mixedwalk
+from mixedwalk import cli, graphs, linalg
 from mixedwalk.cli import main, parse_eta, parse_graph
 from mixedwalk.errors import UsageError
 from mixedwalk.graphs import (
@@ -56,6 +62,58 @@ class TestParseGraph:
             parse_graph("path:n=4,orient=xyz")
         with pytest.raises(UsageError):
             parse_graph(str(tmp_path / "missing.json"))
+
+    def test_builder_size_bound_is_checked_before_building(self, monkeypatch, capsys):
+        assert cli.MAX_BUILDER_VERTICES >= 4096  # the orbit route's N = 4,096 cycle
+        # patched down, so that a missing guard builds a small graph, not a huge one
+        monkeypatch.setattr(cli, "MAX_BUILDER_VERTICES", 8)
+        assert parse_graph("cycle:n=8,j=3") == build_cycle(8, 3)
+        assert parse_graph("path:n=8") == build_path(8, ["digon"] * 7)
+
+        def refuse(*args):
+            raise AssertionError("a graph was built above the limit")
+
+        monkeypatch.setattr(cli, "build_cycle", refuse)
+        monkeypatch.setattr(cli, "build_path", refuse)
+        monkeypatch.setattr(graphs.MixedGraph, "__init__", refuse)
+        for spec in ("cycle:n=9,j=3", "cycle:n=9", "path:n=9", "path:n=9,orient=ffffffff"):
+            with pytest.raises(UsageError, match="limit 8"):
+                parse_graph(spec)
+            assert main(["period", "--graph", spec, "--eta", "pi*1/5"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestCachedParser:
+    SEQUENCE = [
+        ["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "3"],
+        ["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0"],
+        ["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "0"],
+        ["period", "--graph", "path:n=3", "--eta", "pi*1/2", "--format", "pretty"],
+        ["period", "--graph", "path:n=3", "--eta", "pi*1/2"],
+        ["verify", "--seed", "1"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_calls_match_fresh_processes(self, monkeypatch, capsys):
+        # argparse wraps its usage line to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(mixedwalk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def timeless(text):  # verify prints each check's wall time
+            return re.sub(r" +\d+\.\d\ds  ", " <t>s  ", text)
+
+        for argv in self.SEQUENCE:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "mixedwalk", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, timeless(out), err) == (fresh.returncode, timeless(fresh.stdout), fresh.stderr), argv
 
 
 class TestCommands:

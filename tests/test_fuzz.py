@@ -3,8 +3,9 @@ specs, angles and flags for every subcommand.  Whatever the input, the exit
 code is 0 or 1, a failure ends in a one-line error and prints no traceback,
 and no exception escapes ``main``.
 
-Sizes stay at a few hundred vertices or less.  Builder specs and sweep
-ranges are not bounded, so a larger ``cycle:n=`` only measures patience.
+Sizes stay at a few hundred vertices or less.  Builder specs are refused
+above ``cli.MAX_BUILDER_VERTICES``, but a spec just under it still takes
+about a second, and sweep ranges are not bounded at all.
 """
 
 import json

@@ -156,6 +156,31 @@ def test_distance_to_identity_equals_the_difference_formula():
         assert linalg.distance_to_identity(m) == formula
 
 
+def test_screened_distance_is_exact_below_the_floor_and_bounded_above_it():
+    rng = np.random.default_rng(13)
+    cases = [random_complex(rng, n) for n in (1, 2, 5, 12)]
+    cases += [np.eye(6, dtype=complex) + 1e-3 * random_complex(rng, 6)]
+    cases += [np.eye(4, dtype=complex), np.eye(4, dtype=complex)[[1, 0, 2, 3]]]
+    # diagonal gap 0.5 and one off-diagonal entry 5e-13 above it
+    near = np.eye(3, dtype=complex) * 0.5
+    near[0, 2] = 0.5 + 5e-13
+    cases += [near]
+    for m in cases:
+        exact = linalg.distance_to_identity(m)
+        diagonal_gap = float(np.max(np.abs(np.diagonal(m) - 1.0)))
+        floors = [0.0, diagonal_gap, exact, 2 * exact, math.inf]
+        floors += [diagonal_gap + 1e-12, exact + 1e-12, diagonal_gap / 2, float(rng.uniform(0, 3))]
+        for floor in floors:
+            got = linalg.distance_to_identity(m, floor=floor)
+            if exact < floor:
+                assert got == exact, (m, floor)
+            else:
+                assert floor <= got <= exact, (m, floor)
+            # the screened value is the diagonal's own gap, not the floor
+            assert got == (diagonal_gap if diagonal_gap >= floor else exact)
+    assert linalg.distance_to_identity(np.zeros((0, 0)), floor=0.0) == 0.0
+
+
 def test_determinant_equals_eigenvalue_product_for_hermitian():
     rng = np.random.default_rng(7)
     for n in (2, 5, 10):

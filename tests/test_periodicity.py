@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from mixedwalk.graphs import (
 from mixedwalk.periodicity import (
     AGREE,
     DEFAULT_CAP,
+    METHOD_BRUTE,
+    NOT_RUN,
+    PeriodReport,
     brute_force_period,
     cycle_period,
     detect_rational_angle,
@@ -91,6 +95,73 @@ class TestStructuredPowering:
 
         assert brute_force_period(ops.evolution, 30, step=step) == brute_force_period(ops.evolution, 30)
         assert len(calls) == 15
+
+
+def unscreened_period(u, cap, tol=linalg.IDENTITY_TOL, step=None):
+    """The powering search with the full identity distance at every power."""
+    step = step or (lambda acc: acc @ u)
+    acc = np.eye(u.shape[0], dtype=complex)
+    best = math.inf
+    for tau in range(1, cap + 1):
+        acc = step(acc)
+        if tau % linalg.RENORMALIZE_EVERY == 0:
+            acc = linalg.project_to_unitary(acc)
+        dist = linalg.distance_to_identity(acc)
+        best = min(best, dist)
+        if dist < tol:
+            return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
+    return PeriodReport(False, None, METHOD_BRUTE, cap, NOT_RUN, float(best))
+
+
+def assert_same_report(got, want):
+    # repr tells apart floats that == does not (0.0 and -0.0) and spells out every bit
+    assert [repr(v) for v in astuple(got)] == [repr(v) for v in astuple(want)]
+
+
+class TestScreenedIdentityDistance:
+    def test_irrational_square(self):
+        ops = time_evolution(build_cycle(4, 1), 1.0)
+        got = brute_force_period(ops.evolution, 10_000)
+        assert not got.periodic
+        assert_same_report(got, unscreened_period(ops.evolution, 10_000))
+
+    def test_random_chorded_graphs_on_both_sides_of_the_crossover(self):
+        rng = np.random.default_rng(31)
+        sizes = {"below": 0, "above": 0}
+        for n in (8, 10, 14, 16, 20, 30, 36, 40):
+            g = random_mixed_graph(n, rng, 0.15)
+            ops = time_evolution(g, float(rng.uniform(0.2, 3.0)))
+            side = "above" if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else "below"
+            sizes[side] += 1
+            got = brute_force_period(ops.evolution, 64, step=ops.power_step)
+            assert_same_report(got, unscreened_period(ops.evolution, 64, step=ops.power_step))
+        assert min(sizes.values()) >= 2, sizes
+
+    def test_cycles_at_rational_angles(self):
+        rng = np.random.default_rng(32)
+        for n, p, q in ((5, 1, 3), (6, 2, 5), (12, 1, 4), (40, 3, 4), (45, 1, 2)):
+            ops = time_evolution(random_mixed_cycle(n, rng), RationalAngle(p, q))
+            cap = 2 * q * n
+            got = brute_force_period(ops.evolution, cap, step=ops.power_step)
+            assert got.periodic
+            assert_same_report(got, unscreened_period(ops.evolution, cap, step=ops.power_step))
+
+    def test_permutations_and_a_small_rotation(self):
+        cycle = np.eye(5, dtype=complex)[[1, 2, 3, 4, 0]]
+        # a small rotation: its diagonal stays near 1, the distance is off it
+        c, s = math.cos(0.01), math.sin(0.01)
+        rotation = np.eye(4, dtype=complex)
+        rotation[:2, :2] = [[c, -s], [s, c]]
+        rotation[2:, 2:] = [[0, 1], [1, 0]]
+        for u, cap in ((cycle, 20), (rotation, 300)):
+            assert_same_report(brute_force_period(u, cap), unscreened_period(u, cap))
+        assert brute_force_period(cycle, 20).period == 5
+
+    def test_empty_matrix(self):
+        u = np.zeros((0, 0), dtype=complex)
+        got = brute_force_period(u, 5)
+        assert (got.periodic, got.period, got.residual) == (True, 1, 0.0)
+        assert_same_report(got, unscreened_period(u, 5))
 
 
 class TestClosedForms:
