@@ -61,17 +61,32 @@ def charpoly(m) -> np.ndarray:
 
     Uses the trace recurrence (one matrix product per degree), which is
     exact in exact arithmetic and adequate in double precision at this
-    scale.
+    scale.  ``m`` may be a stack of shape ``(..., n, n)``; the result then
+    has shape ``(..., n + 1)``, one Python loop serves the whole stack, and
+    each slice is bit-identical to its own 2-D call.
     """
-    m = as_matrix(m)
-    n = _require_square(m)
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    eye = np.eye(n, dtype=complex)
-    am = np.zeros((n, n), dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    *batch, rows, n = m.shape
+    if rows != n:
+        raise DimensionError(f"expected square matrices, got shape {m.shape}")
+    batch = tuple(batch)
+    coeffs = np.zeros(batch + (n + 1,), dtype=complex)
+    coeffs[..., n] = 1.0
+    # Two contiguous buffers take turns as the product's input and output;
+    # each slice's diagonal is a strided view of its buffer, so adding to it
+    # and summing it stay per-slice operations with no index arrays.
+    am = np.zeros(batch + (n, n), dtype=complex)
+    product = np.empty_like(am)
+    am_diagonal = am.reshape(batch + (n * n,))[..., :: n + 1]
+    product_diagonal = product.reshape(batch + (n * n,))[..., :: n + 1]
     for k in range(1, n + 1):
-        am = m @ (am + coeffs[n - k + 1] * eye)
-        coeffs[n - k] = -np.trace(am) / k
+        am_diagonal += coeffs[..., n - k + 1, None]
+        np.matmul(m, am, out=product)
+        coeffs[..., n - k] = -np.add.reduce(product_diagonal, axis=-1) / k
+        am, product = product, am
+        am_diagonal, product_diagonal = product_diagonal, am_diagonal
     return coeffs
 
 
@@ -148,13 +163,13 @@ def distance_to_identity(m, floor: float = math.inf) -> float:
     n = _require_square(m)
     if n == 0:
         return 0.0
-    diagonal_gaps = np.abs(np.diagonal(m) - 1.0)
-    g = float(np.max(diagonal_gaps))
+    diagonal_gaps = np.abs(m.diagonal() - 1.0)
+    g = float(diagonal_gaps.max())
     if g >= floor:
         return g
     gaps = np.abs(m)
     np.fill_diagonal(gaps, diagonal_gaps)
-    return float(np.max(gaps))
+    return float(gaps.max())
 
 
 def unitary_defect(m) -> float:

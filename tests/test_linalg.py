@@ -7,6 +7,8 @@ import pytest
 
 from mixedwalk import linalg
 from mixedwalk.errors import ContractViolationError, DimensionError
+from mixedwalk.graphs import build_cycle, random_mixed_tree
+from mixedwalk.spectra import RationalAngle, h_eta
 
 
 def leibniz_determinant(m):
@@ -93,6 +95,64 @@ def test_charpoly_leading_coefficient_is_monic():
     for n in (1, 3, 6):
         coeffs = linalg.charpoly(random_complex(rng, n))
         assert abs(coeffs[-1] - 1.0) < 1e-12
+
+
+def same_bits(a, b):
+    """Bitwise equality, so a zero's sign (printed by the CLI) counts too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 4)])
+def test_charpoly_of_a_stack_equals_each_slice(batch):
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        stack = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+        if n % 3 == 0:  # real entries, where the zero imaginary parts carry signs
+            stack = stack.real.astype(complex)
+        coeffs = linalg.charpoly(stack)
+        assert coeffs.shape == batch + (n + 1,)
+        for index in np.ndindex(*batch):
+            single = linalg.charpoly(stack[index])
+            assert np.array_equal(coeffs[index], single), (n, index)
+            assert same_bits(coeffs[index], single), (n, index)
+
+
+def test_charpoly_of_an_empty_stack():
+    for n in (0, 1, 5):
+        assert linalg.charpoly(np.zeros((0, n, n))).shape == (0, n + 1)
+
+
+def test_charpoly_pinned_coefficients():
+    # recorded from the single-matrix recurrence before it took stacks
+    cycle = linalg.charpoly(h_eta(build_cycle(5, 2), RationalAngle(1, 3)))
+    assert same_bits(cycle, np.array([
+        complex(0.9999999999999997, 5.949667257334985e-18),
+        complex(5.0, 9.986667635501254e-17),
+        complex(-0.0, 0.0),
+        complex(-5.0, 0.0),
+        complex(-0.0, 0.0),
+        complex(1.0, 0.0),
+    ]))
+    tree = random_mixed_tree(7, np.random.default_rng(2021))
+    assert tree.arcs == ((1, 0), (2, 1), (2, 3), (4, 1), (5, 4), (6, 3))
+    assert same_bits(linalg.charpoly(h_eta(tree, 1.0)), np.array([
+        complex(-0.0, 0.0),
+        complex(-3.0, -2.0538147690727617e-16),
+        complex(-0.0, 0.0),
+        complex(9.0, -1.1535829173203442e-16),
+        complex(-0.0, 0.0),
+        complex(-6.0, -3.946536878868399e-17),
+        complex(-0.0, 0.0),
+        complex(1.0, 0.0),
+    ]))
+
+
+def test_charpoly_rejects_vectors_and_non_square_stacks():
+    with pytest.raises(DimensionError):
+        linalg.charpoly(np.zeros(3))
+    with pytest.raises(DimensionError):
+        linalg.charpoly(np.zeros((2, 3, 4)))
 
 
 def test_hermitian_eigenvalues_swap_matrix():

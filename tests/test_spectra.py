@@ -5,12 +5,20 @@ import pytest
 
 from mixedwalk import linalg
 from mixedwalk.errors import DomainError
-from mixedwalk.graphs import MixedGraph, build_cycle, build_path, random_mixed_tree
+from mixedwalk.graphs import (
+    MixedGraph,
+    build_cycle,
+    build_path,
+    random_mixed_graph,
+    random_mixed_tree,
+    random_unicyclic,
+)
 from mixedwalk.spectra import (
     ETA_GRID,
     RationalAngle,
     angle_radians,
     charpoly_tail_coefficient,
+    coefficient_gaps_below_girth,
     coefficients_agree_up_to_girth,
     cospectral,
     cycle_charpoly_closed,
@@ -206,6 +214,54 @@ class TestCoefficientAgreement:
         for l in (1, 2, 3):
             assert abs(charpoly_tail_coefficient(a, l) - charpoly_tail_coefficient(b, l)) < 1e-8
         assert abs(charpoly_tail_coefficient(a, 4) - charpoly_tail_coefficient(b, 4)) > 1.0
+
+
+def gap_by_coefficient(graph, eta):
+    """Reference: one angle, one matrix at a time, one coefficient at a time."""
+    s = graph.girth()
+    limit = graph.n_vertices if math.isinf(s) else int(s) - 1
+    und = graph.underlying()
+    worst = 0.0
+    for build in (h_eta, normalized_h_eta):
+        a = linalg.charpoly(build(graph, eta))
+        b = linalg.charpoly(build(und, eta))
+        for l in range(1, min(limit, graph.n_vertices) + 1):
+            worst = max(worst, abs(charpoly_tail_coefficient(a, l) - charpoly_tail_coefficient(b, l)))
+    return worst
+
+
+class TestCoefficientGaps:
+    def graphs(self):
+        rng = np.random.default_rng(5)
+        out = [build_cycle(n, j) for n in (3, 4, 7) for j in (0, 1, n)]
+        out += [random_mixed_tree(int(rng.integers(2, 12)), rng) for _ in range(8)]
+        out += [random_unicyclic(int(rng.integers(3, 12)), rng) for _ in range(8)]
+        out += [random_mixed_graph(int(rng.integers(4, 10)), rng) for _ in range(4)]
+        return out
+
+    def test_equal_to_the_per_angle_loop(self):
+        for g in self.graphs():
+            gaps = coefficient_gaps_below_girth(g, ETA_GRID)
+            assert gaps.shape == (len(ETA_GRID),)
+            assert gaps.tolist() == [gap_by_coefficient(g, eta) for eta in ETA_GRID]
+
+    def test_agreement_flips_where_tol_crosses_the_gap(self):
+        flipped = 0
+        for g in self.graphs():
+            for eta, gap in zip(ETA_GRID, coefficient_gaps_below_girth(g, ETA_GRID)):
+                assert coefficients_agree_up_to_girth(g, eta, tol=float(gap))
+                if gap > 0:
+                    assert not coefficients_agree_up_to_girth(g, eta, tol=float(np.nextafter(gap, 0.0)))
+                    flipped += 1
+        assert flipped > 0
+
+    def test_nan_gap_is_disagreement(self):
+        # a NaN angle puts NaN phases on the directed arcs only; the
+        # underlying graph, all digons, stays finite
+        g = build_cycle(5, 1)
+        gaps = coefficient_gaps_below_girth(g, (RationalAngle(1, 3), math.nan))
+        assert gaps[0] < 1e-12 and math.isnan(gaps[1])
+        assert not coefficients_agree_up_to_girth(g, math.nan)
 
 
 class TestCospectral:
