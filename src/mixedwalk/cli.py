@@ -205,7 +205,7 @@ def cmd_walk(args) -> int:
 def cmd_period(args) -> int:
     graph = parse_graph(args.graph)
     eta = parse_eta(args.eta)
-    report = periodicity.period_of(graph, eta, cap=args.cap, tol=args.tol)
+    report = periodicity.period_of(graph, eta, cap=args.cap)
     payload = {
         "periodic": report.periodic,
         "period": report.period,
@@ -276,13 +276,6 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are usage errors, exit 1
         self.print_usage(sys.stderr)
@@ -293,8 +286,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later
     ``main`` call in the process (argparse keeps no state between parses).
-    Flag defaults such as ``DEFAULT_CAP`` and ``IDENTITY_TOL`` are read once,
-    at that first build."""
+    Flag defaults such as ``DEFAULT_CAP`` are read once, at that first build."""
     parser = _Parser(prog="mixedwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -321,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="periodicity report for a mixed graph")
     add_common(p)
     p.add_argument("--cap", type=positive_int, default=periodicity.DEFAULT_CAP, help="powering budget")
-    p.add_argument("--tol", type=positive_float, default=linalg.IDENTITY_TOL, help="identity tolerance")
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("sweep", help="CSV table: period formula vs powering over a cycle grid")
@@ -340,9 +331,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

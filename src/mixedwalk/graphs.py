@@ -244,6 +244,10 @@ def _cycle_edges(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
+def _path_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, i + 1) for i in range(n - 1)]
+
+
 def build_cycle(n: int, j: int) -> MixedGraph:
     """Mixed cycle of type ``j``: arcs (0,1)..(j-1,j) one-directional, rest digons."""
     if n < 3:
@@ -264,8 +268,7 @@ def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
     unknown = [symbol for symbol in orientation if symbol not in EDGE_SIGN]
     if unknown:
         raise InvalidGraphError(f"unknown orientation symbol {unknown[0]!r}")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return from_edge_signs(n, edges, [EDGE_SIGN[symbol] for symbol in orientation])
+    return from_edge_signs(n, _path_edges(n), [EDGE_SIGN[symbol] for symbol in orientation])
 
 
 JSON_FIELDS = ("n", "arcs", "edges")
@@ -322,24 +325,22 @@ def to_json_dict(graph: MixedGraph) -> dict:
     }
 
 
-def _random_orientation(rng, count: int) -> list[str]:
-    symbols = (FORWARD, BACKWARD, DIGON)
-    return [symbols[k] for k in rng.integers(0, 3, size=count)]
+def _randomly_oriented(n: int, edges: list[tuple[int, int]], rng) -> MixedGraph:
+    """Orient each edge by one draw of the whole vector, in edge order; it
+    yields the same values, and leaves ``rng`` in the same state, as one
+    scalar draw per edge."""
+    return from_edge_signs(n, edges, [_DRAWN_SIGN[k] for k in rng.integers(0, 3, size=len(edges))])
 
 
 def random_mixed_path(n: int, rng) -> MixedGraph:
-    return build_path(n, _random_orientation(rng, n - 1))
+    if n < 2:
+        raise InvalidGraphError(f"a path needs n >= 2, got {n}")
+    return _randomly_oriented(n, _path_edges(n), rng)
 
 
 def random_mixed_cycle(n: int, rng) -> MixedGraph:
     """Cycle on ``n`` vertices with each edge independently digon/forward/backward."""
-    signs = [_DRAWN_SIGN[k] for k in rng.integers(0, 3, size=n)]
-    return from_edge_signs(n, _cycle_edges(n), signs)
-
-
-def _randomly_oriented(n: int, edges: list[tuple[int, int]], rng) -> MixedGraph:
-    """Orient each edge by its own draw, in edge order."""
-    return from_edge_signs(n, edges, [_DRAWN_SIGN[int(rng.integers(0, 3))] for _ in edges])
+    return _randomly_oriented(n, _cycle_edges(n), rng)
 
 
 def random_mixed_tree(n: int, rng) -> MixedGraph:

@@ -126,12 +126,12 @@ class Spectrum:
         return [v.real for v in self.expand()]
 
 
-def hermitian_eigenvalues(m, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectrum:
+def hermitian_eigenvalues(m) -> Spectrum:
     """Real eigenvalues of a Hermitian matrix (``numpy.linalg.eigvalsh``).
 
     The input must be Hermitian to ``HERMITICITY_TOL``.  Eigenvalues are
-    grouped into multiplicities with ``group_tol`` and their sum is checked
-    against the trace.
+    grouped into multiplicities with ``EIGENVALUE_GROUP_TOL`` and their sum
+    is checked against the trace.
     """
     m = as_matrix(m)
     _require_square(m)
@@ -146,7 +146,7 @@ def hermitian_eigenvalues(m, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectru
         raise InternalConsistencyError(
             "eigenvalue sum drifted away from the trace"
         )
-    return Spectrum.from_values(eigs, tol=group_tol)
+    return Spectrum.from_values(eigs, tol=EIGENVALUE_GROUP_TOL)
 
 
 def distance_to_identity(m, floor: float = math.inf) -> float:

@@ -20,13 +20,17 @@ import numpy as np
 
 from .errors import ContractViolationError, DomainError
 from .graphs import MixedGraph, build_cycle
-from .spectra import Angle, RationalAngle, angle_radians, is_rational_angle
+from .spectra import Angle, RationalAngle, angle_radians
 from .switching import classify_cycle
 from .walk import WalkOperators, time_evolution
 from . import linalg
 
 DEFAULT_CAP = 10_000
 CROSS_CHECK_MAX_ARCS = 32
+# ``detect_rational_angle`` tries denominators up to this bound and accepts
+# a match to within this many radians.
+RATIONAL_HINT_MAX_Q = 64
+RATIONAL_HINT_TOL = 1e-12
 
 METHOD_BRUTE = "brute_force"
 METHOD_PATH = "closed_form_path"
@@ -57,7 +61,6 @@ class PeriodReport:
 def brute_force_period(
     u,
     cap: int,
-    tol: float = linalg.IDENTITY_TOL,
     *,
     step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> PeriodReport:
@@ -71,9 +74,9 @@ def brute_force_period(
 
     Each power's distance to the identity is screened by its diagonal
     against the closest approach so far.  The search returns as soon as a
-    distance falls below ``tol``, so that approach is never below ``tol``
-    while it runs, and a power whose diagonal alone is at least as far is
-    neither the period nor a closer approach.
+    distance falls below ``linalg.IDENTITY_TOL``, so that approach is never
+    below it while it runs, and a power whose diagonal alone is at least as
+    far is neither the period nor a closer approach.
     """
     u = linalg.as_matrix(u)
     if cap < 1:
@@ -94,7 +97,7 @@ def brute_force_period(
         # makes exactly one call: traces count those calls as powering steps
         dist = linalg.distance_to_identity(acc, floor=best)
         best = min(best, dist)
-        if dist < tol:
+        if dist < linalg.IDENTITY_TOL:
             return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
     return PeriodReport(False, None, METHOD_BRUTE, cap, NOT_RUN, float(best))
 
@@ -135,24 +138,18 @@ def cycle_period_by_powering(n: int, j: int, eta: RationalAngle) -> tuple[int, P
     return tau, brute_force_period(ops.evolution, 2 * eta.q * n, step=ops.power_step)
 
 
-def detect_rational_angle(
-    radians: float, max_q: int = 64, tol: float = 1e-12
-) -> Optional[RationalAngle]:
-    """Best-effort match of a float angle to p*pi/q with q <= max_q."""
+def detect_rational_angle(radians: float) -> Optional[RationalAngle]:
+    """Best-effort match of a float angle to p*pi/q with q at most
+    ``RATIONAL_HINT_MAX_Q``, to within ``RATIONAL_HINT_TOL`` radians."""
     x = angle_radians(radians) / math.pi
-    for q in range(1, max_q + 1):
+    for q in range(1, RATIONAL_HINT_MAX_Q + 1):
         p = round(x * q)
-        if math.gcd(p, q) == 1 and abs(x - p / q) * math.pi <= tol:
+        if math.gcd(p, q) == 1 and abs(x - p / q) * math.pi <= RATIONAL_HINT_TOL:
             return RationalAngle(p, q)
     return None
 
 
-def period_of(
-    graph: MixedGraph,
-    eta: Angle,
-    cap: int = DEFAULT_CAP,
-    tol: float = linalg.IDENTITY_TOL,
-) -> PeriodReport:
+def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodReport:
     """Periodicity of a mixed graph's walk, preferring closed forms.
 
     Paths use the closed form for any angle; cycles use the gcd formula
@@ -167,24 +164,22 @@ def period_of(
     if graph.is_path_graph():
         tau = path_period(graph.n_vertices)
         # The powering cap is the period itself; hitting it proves minimality.
-        return _closed_form_report(ops, tau, METHOD_PATH, tau, tol)
+        return _closed_form_report(ops, tau, METHOD_PATH, tau)
 
-    if graph.is_cycle_graph() and is_rational_angle(eta):
+    if graph.is_cycle_graph() and isinstance(eta, RationalAngle):
         j = classify_cycle(graph)
         tau = cycle_period(graph.n_vertices, j, eta)
         # The powering cap is the guaranteed return exponent 2qn.
         guaranteed = 2 * eta.q * graph.n_vertices
-        return _closed_form_report(ops, tau, METHOD_CYCLE, guaranteed, tol)
+        return _closed_form_report(ops, tau, METHOD_CYCLE, guaranteed)
 
-    return brute_force_period(ops.evolution, cap, tol, step=ops.power_step)
+    return brute_force_period(ops.evolution, cap, step=ops.power_step)
 
 
-def _closed_form_report(
-    ops: WalkOperators, tau: int, method: str, cap: int, tol: float
-) -> PeriodReport:
+def _closed_form_report(ops: WalkOperators, tau: int, method: str, cap: int) -> PeriodReport:
     if len(ops.arc_index) > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
         return PeriodReport(True, tau, method, cap, NOT_RUN, None)
-    brute = brute_force_period(ops.evolution, max(cap, tau), tol, step=ops.power_step)
+    brute = brute_force_period(ops.evolution, max(cap, tau), step=ops.power_step)
     agrees = brute.periodic and brute.period == tau
     return PeriodReport(
         periodic=True,

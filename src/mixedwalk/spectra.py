@@ -70,10 +70,6 @@ def angle_radians(eta: Angle) -> float:
     return x
 
 
-def is_rational_angle(eta: Angle) -> bool:
-    return isinstance(eta, RationalAngle)
-
-
 #: Angle grid used throughout the property and acceptance tests: rational
 #: multiples of pi exercising both parities of p, plus one irrational angle.
 ETA_GRID: tuple[Angle, ...] = (
@@ -192,24 +188,20 @@ def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np
     return gaps.reshape(len(etas), 2 * limit).max(axis=1)
 
 
-def coefficients_agree_up_to_girth(
-    graph: MixedGraph, eta: Angle, tol: float = COSPECTRAL_TOL
-) -> bool:
+def coefficients_agree_up_to_girth(graph: MixedGraph, eta: Angle) -> bool:
     """Whether the characteristic polynomial of the graph matches its
     underlying graph's on every coefficient of lambda^(n-l) for l below the
-    girth, for both the plain and the normalized matrix, to ``tol``.  A NaN
-    gap is disagreement.
+    girth, for both the plain and the normalized matrix, to
+    ``COSPECTRAL_TOL``.  A NaN gap is disagreement.
 
     Trees have infinite girth, so for them this is full cospectrality.
     """
-    return bool(coefficient_gaps_below_girth(graph, (eta,))[0] <= tol)
+    return bool(coefficient_gaps_below_girth(graph, (eta,))[0] <= COSPECTRAL_TOL)
 
 
-def cospectral(
-    g1: MixedGraph, g2: MixedGraph, eta: Angle, tol: float = COSPECTRAL_TOL
-) -> bool:
+def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle) -> bool:
     """Equality of the sorted eigenvalues of the two phased matrices, to
-    ``tol`` times the larger spectral radius (at least 1).
+    ``COSPECTRAL_TOL`` times the larger spectral radius (at least 1).
 
     Hermitian eigenvalues are well conditioned, while characteristic-
     polynomial coefficients grow combinatorially with n, so comparing
@@ -222,4 +214,4 @@ def cospectral(
     a = np.linalg.eigvalsh(h_eta(g1, eta))
     b = np.linalg.eigvalsh(h_eta(g2, eta))
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return bool(np.max(np.abs(a - b)) <= tol * scale)
+    return bool(np.max(np.abs(a - b)) <= COSPECTRAL_TOL * scale)

@@ -100,14 +100,12 @@ def apply_switching(
     return h_eta(graph, eta) * d[:, None] * d.conj()[None, :]
 
 
-def recognize_mixed_graph(
-    matrix, eta: Angle, tol: float = RECOGNIZE_TOL
-) -> MixedGraph:
+def recognize_mixed_graph(matrix, eta: Angle) -> MixedGraph:
     """Decode a matrix back into the unique mixed graph it represents.
 
-    Every entry must be 0, 1, or e^{+-i eta} to within ``tol``.  When
-    e^{i eta} is within 1e-6 of 1 the arc direction is unobservable, so all
-    nonzero entries are read as digons and a warning is emitted.
+    Every entry must be 0, 1, or e^{+-i eta} to within ``RECOGNIZE_TOL``.
+    When e^{i eta} is within 1e-6 of 1 the arc direction is unobservable, so
+    all nonzero entries are read as digons and a warning is emitted.
     """
     m = linalg.as_matrix(matrix)
     n = m.shape[0]
@@ -120,6 +118,7 @@ def recognize_mixed_graph(
             "phase is indistinguishable from 1; reading every entry as a digon",
             stacklevel=2,
         )
+    tol = RECOGNIZE_TOL
     arcs: list[tuple[int, int]] = []
     for u in range(n):
         for v in range(u + 1, n):

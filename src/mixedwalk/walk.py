@@ -23,6 +23,8 @@ from . import linalg
 
 EVOLUTION_AGREEMENT_TOL = 1e-10
 SPECTRAL_CLAMP_TOL = 1e-9
+# Number of trace moments tr(U^k), k = 1.., that validate a predicted spectrum.
+TRACE_MOMENTS = 10
 # Arc count from which a powering step runs through the arc arrays rather
 # than as a dense matmul; below it the matmul's lower per-call cost wins.
 STRUCTURED_STEP_MIN_ARCS = 72
@@ -192,7 +194,7 @@ class SpectralMapReport:
     trace_moment_residuals: tuple[float, ...]
 
 
-def spectral_map_check(graph: MixedGraph, eta: Angle, k_max: int = 10) -> SpectralMapReport:
+def spectral_map_check(graph: MixedGraph, eta: Angle) -> SpectralMapReport:
     """Predict the evolution spectrum from the normalized adjacency spectrum.
 
     Each normalized eigenvalue lam maps to the conjugate pair
@@ -200,10 +202,8 @@ def spectral_map_check(graph: MixedGraph, eta: Angle, k_max: int = 10) -> Spectr
     +-1 eigenspaces contribute |arcs|/2 - |V| + dim ker(Hn -+ I) extra
     copies each.  Rather than diagonalizing the evolution matrix, the
     prediction is validated through the residuals |tr(U^k) - sum mu^k| for
-    k = 1..k_max.
+    k = 1..TRACE_MOMENTS.
     """
-    if k_max < 1:
-        raise ContractViolationError(f"k_max must be >= 1, got {k_max}")
     ops = time_evolution(graph, eta)
     hn = normalized_h_eta(graph, eta)
     spec = linalg.hermitian_eigenvalues(hn)
@@ -239,7 +239,7 @@ def spectral_map_check(graph: MixedGraph, eta: Angle, k_max: int = 10) -> Spectr
     residuals = []
     # reading U runs the size guard and the gate before the m x m accumulator
     acc = np.eye(len(ops.evolution), dtype=complex)
-    for k in range(1, k_max + 1):
+    for k in range(1, TRACE_MOMENTS + 1):
         acc = ops.power_step(acc)
         moment = sum(mult * value**k for value, mult in spectrum.pairs)
         residuals.append(float(abs(np.trace(acc) - moment)))

@@ -259,12 +259,23 @@ class TestCommands:
         assert "--seed" in err.splitlines()[-1]
 
     def test_bad_tol_and_cap_exit_one(self, capsys):
-        # a negative tolerance used to surface as a route disagreement (exit 2)
+        # the identity tolerance is pinned in code: any --tol is an unknown flag
         assert main(["period", "--graph", "cycle:n=4,j=1", "--eta", "pi*1/2",
                      "--tol", "-1"]) == 1
         assert main(["period", "--graph", "path:n=5", "--eta", "pi*1/2",
                      "--cap", "0"]) == 1
         assert "--cap" in capsys.readouterr().err
+
+    def test_loose_tol_is_bad_input_not_a_disagreement(self, capsys):
+        # a tolerance above the distance of an earlier power to I made the
+        # cross-check take that power as the period and exit 2
+        assert main(["period", "--graph", "cycle:n=4,j=1", "--eta", "pi*1/5",
+                     "--tol", "0.7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and "--tol" in last
+        assert "Traceback" not in err
 
     def test_period_without_cross_check_is_strict_json(self, capsys):
         def reject(constant):

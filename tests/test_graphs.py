@@ -13,7 +13,9 @@ from mixedwalk.graphs import (
     from_json_dict,
     random_mixed_cycle,
     random_mixed_graph,
+    random_mixed_path,
     random_mixed_tree,
+    random_unicyclic,
     to_json_dict,
 )
 
@@ -213,3 +215,20 @@ def test_random_cycle_is_cycle():
         g = random_mixed_cycle(int(rng.integers(3, 10)), rng)
         assert g.is_cycle_graph()
         assert not g.is_path_graph()
+
+
+def test_seeded_random_families_keep_their_arcs():
+    # arcs recorded when each family drew its orientations one scalar per
+    # edge; the vector draw must give the same graphs and leave the
+    # generator in the same state
+    rng = np.random.default_rng(2021)
+    families = (random_mixed_path, random_mixed_cycle, random_mixed_tree, random_unicyclic, random_mixed_graph)
+    got = [family(6, rng).arcs for family in families]
+    assert got == [
+        ((0, 1), (1, 0), (1, 2), (2, 1), (3, 2), (3, 4), (4, 3), (5, 4)),
+        ((0, 5), (1, 0), (2, 1), (2, 3), (4, 3), (5, 4)),
+        ((0, 2), (0, 3), (1, 0), (1, 4), (3, 5), (4, 1), (5, 3)),
+        ((0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (3, 4), (5, 1)),
+        ((0, 1), (1, 0), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 1), (4, 2), (5, 0), (5, 1)),
+    ]
+    assert int(rng.integers(0, 1000)) == 606

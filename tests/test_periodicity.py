@@ -97,7 +97,7 @@ class TestStructuredPowering:
         assert len(calls) == 15
 
 
-def unscreened_period(u, cap, tol=linalg.IDENTITY_TOL, step=None):
+def unscreened_period(u, cap, step=None):
     """The powering search with the full identity distance at every power."""
     step = step or (lambda acc: acc @ u)
     acc = np.eye(u.shape[0], dtype=complex)
@@ -108,7 +108,7 @@ def unscreened_period(u, cap, tol=linalg.IDENTITY_TOL, step=None):
             acc = linalg.project_to_unitary(acc)
         dist = linalg.distance_to_identity(acc)
         best = min(best, dist)
-        if dist < tol:
+        if dist < linalg.IDENTITY_TOL:
             return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
     return PeriodReport(False, None, METHOD_BRUTE, cap, NOT_RUN, float(best))
 

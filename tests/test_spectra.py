@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedwalk import linalg
+from mixedwalk import linalg, spectra
 from mixedwalk.errors import DomainError
 from mixedwalk.graphs import (
     MixedGraph,
@@ -245,13 +245,16 @@ class TestCoefficientGaps:
             assert gaps.shape == (len(ETA_GRID),)
             assert gaps.tolist() == [gap_by_coefficient(g, eta) for eta in ETA_GRID]
 
-    def test_agreement_flips_where_tol_crosses_the_gap(self):
+    def test_agreement_flips_where_tol_crosses_the_gap(self, monkeypatch):
+        # the tolerance is read at call time, so patching it moves the gate
         flipped = 0
         for g in self.graphs():
             for eta, gap in zip(ETA_GRID, coefficient_gaps_below_girth(g, ETA_GRID)):
-                assert coefficients_agree_up_to_girth(g, eta, tol=float(gap))
+                monkeypatch.setattr(spectra, "COSPECTRAL_TOL", float(gap))
+                assert coefficients_agree_up_to_girth(g, eta)
                 if gap > 0:
-                    assert not coefficients_agree_up_to_girth(g, eta, tol=float(np.nextafter(gap, 0.0)))
+                    monkeypatch.setattr(spectra, "COSPECTRAL_TOL", float(np.nextafter(gap, 0.0)))
+                    assert not coefficients_agree_up_to_girth(g, eta)
                     flipped += 1
         assert flipped > 0
 

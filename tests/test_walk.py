@@ -6,7 +6,7 @@ import pytest
 
 from mixedwalk import linalg, walk
 from mixedwalk.cli import main
-from mixedwalk.errors import ContractViolationError, DomainError, InternalConsistencyError
+from mixedwalk.errors import DomainError, InternalConsistencyError
 from mixedwalk.graphs import (
     ArcIndex,
     MixedGraph,
@@ -238,10 +238,6 @@ class TestSpectralMap:
                 for eta in ETA_GRID:
                     rep = spectral_map_check(build_cycle(n, j), eta)
                     assert max(rep.trace_moment_residuals) < 1e-7
-
-    def test_rejects_bad_k_max(self):
-        with pytest.raises(ContractViolationError):
-            spectral_map_check(build_cycle(3, 0), 0.5, k_max=0)
 
 
 class TestPowerStep:
