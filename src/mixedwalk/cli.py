@@ -37,6 +37,10 @@ WALK_OPERATORS = {"U": "evolution", "K": "boundary", "C": "coin", "S": "shift"}
 # Largest n a cycle:/path: spec may ask for; checked before any edge list
 # is built.  The gcd-formula period at this size takes about a second.
 MAX_BUILDER_VERTICES = 65_536
+# Largest powering work a sweep may ask for: the sum over its cells of the
+# 2qn steps that bound a type-j cycle's search, each on an m x m power of
+# m = 2n arcs, so 2qn * (2n)^2.  The default grid asks for about 1.1e6.
+MAX_SWEEP_WORK = 10**8
 
 
 def parse_eta(text: str) -> Angle:
@@ -231,8 +235,19 @@ def cmd_sweep(args) -> int:
             angles.append((int(p_str), int(q_str)))
         except ValueError as exc:
             raise UsageError(f"sweep angles must be p/q pairs, got {token!r}") from exc
+    # below n = 0 a cycle has no types, so the grid has no cells there
+    sizes = range(max(args.n_min, 0), args.n_max + 1)
+    steps_per_n = 2 * sum(RationalAngle(p, q).q for p, q in angles)
+    work = 0
+    for n in sizes:
+        work += (n + 1) * steps_per_n * n * (2 * n) ** 2
+        if work > MAX_SWEEP_WORK:
+            raise UsageError(
+                f"sweep grid too large: its powering work (2qn steps on 2n arcs, summed "
+                f"over cells) exceeds {MAX_SWEEP_WORK:.0e}; narrow --n-max or --angles"
+            )
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
+    for n in sizes:
         for j in range(n + 1):
             for p, q in angles:
                 tau, brute = periodicity.cycle_period_by_powering(n, j, RationalAngle(p, q))

@@ -67,10 +67,13 @@ def brute_force_period(
     """Smallest power (up to ``cap``) bringing a unitary back to the identity.
 
     Every exponent is checked, so a reported period is minimal.  The
-    accumulated product is projected back onto the unitary group every 64
-    steps to keep long searches below the drift budget.  ``step`` maps
-    each power of ``u`` to the next (``acc @ u`` by default); walks pass
-    ``WalkOperators.power_step``.
+    accumulated product is projected back onto the unitary group every
+    ``linalg.RENORMALIZE_EVERY`` steps to keep long searches below the drift
+    budget, except at ``cap``, where no later product reads it.  ``step``
+    maps each power of ``u`` to the next (``acc @ u`` by default); walks
+    pass ``WalkOperators.power_step``.  A step may hold the powers in any
+    fixed basis permutation P, as P u^tau P^T, starting from I: the identity
+    distance and the projection do not depend on it.
 
     Each power's distance to the identity is screened by its diagonal
     against the closest approach so far.  The search returns as soon as a
@@ -91,7 +94,7 @@ def brute_force_period(
     best = math.inf
     for tau in range(1, cap + 1):
         acc = step(acc)
-        if tau % linalg.RENORMALIZE_EVERY == 0:
+        if tau % linalg.RENORMALIZE_EVERY == 0 and tau < cap:
             acc = linalg.project_to_unitary(acc)
         # the screen stays inside distance_to_identity, so every power still
         # makes exactly one call: traces count those calls as powering steps

@@ -105,16 +105,21 @@ class WalkOperators:
         return u
 
     def power_step(self, acc: np.ndarray) -> np.ndarray:
-        """The next power of U after ``acc``, a power of U.
+        """The next power of U after ``acc``, a power of U, both held in
+        ``step_order``: with P that order's permutation, it takes
+        P U^tau P^T and returns P U^(tau+1) P^T.
 
         From ``STRUCTURED_STEP_MIN_ARCS`` arcs on, U @ acc is applied
         through the arc arrays in O(m^2) instead of the O(m^3) matmul:
         (U x)[a] = e^{-i theta(a)} (2/deg o(a) * sum_{o(c)=o(a)} x[c^-1] - x[a^-1]).
-        Below that it is the matmul acc @ U, equal to U @ acc for a power of U.
+        The rows stay in slot order from one step to the next, and the
+        columns only ride along, so I starts a chain as it is.  Below that
+        size the order is arc order and the step is the matmul acc @ U,
+        equal to U @ acc for a power of U.
         """
         if len(self.arc_index) < STRUCTURED_STEP_MIN_ARCS:
             return acc @ self.evolution
-        gather, runs, scale, phase, restore = self._slot_order
+        _, gather, runs, scale, phase = self._slot_order
         y = acc[gather]
         sums = y[: runs[0][1]].copy()
         for first, count in runs[1:]:
@@ -123,7 +128,19 @@ class WalkOperators:
         for first, count in runs:
             y[first : first + count] -= sums[:count]
         y *= phase
-        return y[restore]
+        return y
+
+    @cached_property
+    def step_order(self) -> np.ndarray:
+        """The arc of each row (and column) of the powers ``power_step``
+        takes and returns: slot order from ``STRUCTURED_STEP_MIN_ARCS`` arcs
+        on, arc order below.  Read-only."""
+        m = len(self.arc_index)
+        if m >= STRUCTURED_STEP_MIN_ARCS:
+            return self._slot_order[0]
+        order = np.arange(m)
+        order.flags.writeable = False
+        return order
 
     @cached_property
     def _slot_order(self):
@@ -133,11 +150,11 @@ class WalkOperators:
         are ranked by size, largest first, and slot k holds the k-th arc of
         every block with more than k arcs.  Those blocks are a prefix of the
         ranking, so each slot is one run of rows that lines up with the
-        first rows of the block sums.  Returns, per slot row, the row of x
-        it reads (its arc's inverse); the (first row, row count) of each
-        slot; 2/deg per ranked block; -e^{-i theta(a)} per slot row, negated
-        because the rows hold x - sums; and the slot row of each arc, in
-        arc order.
+        first rows of the block sums.  Returns the arc of each slot row
+        (read-only); per slot row, the slot row it reads (that of its arc's
+        inverse); the (first row, row count) of each slot; 2/deg per ranked
+        block; and -e^{-i theta(a)} per slot row, negated because the rows
+        hold x - sums.
         """
         # the step applies U without reading it, so U is built and gated first
         self.evolution
@@ -152,9 +169,11 @@ class WalkOperators:
             runs.append((first, count))
             first += count
         arcs = np.concatenate(slots)
-        gather = index.inverse[arcs]
-        phase = -self.phases[gather]
-        return gather, runs, (2.0 / sizes)[:, None], phase[:, None], np.argsort(arcs)
+        arcs.flags.writeable = False
+        inverse = index.inverse[arcs]
+        gather = np.argsort(arcs)[inverse]
+        phase = -self.phases[inverse]
+        return arcs, gather, runs, (2.0 / sizes)[:, None], phase[:, None]
 
 
 def evolution_entrywise(graph: MixedGraph, index: ArcIndex, phases: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ live); the ``mixedwalk verify`` subcommand runs the same checks.
 
 import time
 
+import numpy as np
 import pytest
 
-from mixedwalk import verify
+from mixedwalk import spectra, verify
 
 SEED = 0
 
@@ -43,6 +44,23 @@ def test_03_path_determinant_closed_form():
 def test_04_tree_underlying_cospectral():
     passed, detail, _ = run("tree-underlying-cospectral")
     assert passed, detail
+
+
+def test_04_fails_on_a_nan_gap(monkeypatch):
+    gaps = spectra.coefficient_gaps_below_girth
+    calls = []
+
+    def one_nan(graph, etas):
+        calls.append(1)
+        out = gaps(graph, etas)
+        if len(calls) == 7:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(spectra, "coefficient_gaps_below_girth", one_nan)
+    passed, _ = verify.check_tree_underlying_cospectral(SEED)
+    assert len(calls) == 200
+    assert passed is False
 
 
 def test_05_coefficients_agree_below_girth():

@@ -210,6 +210,19 @@ class TestCommands:
         assert len(rows) == (4 + 5) * 2
         assert all(row[-1] == "true" for row in rows)
 
+    def test_sweep_above_the_work_bound_exits_one_before_powering(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the sweep powered a cell")
+
+        assert main(["sweep"]) == 0  # the default grid stays under the bound
+        capsys.readouterr()
+        monkeypatch.setattr(cli.periodicity, "cycle_period_by_powering", refuse)
+        for argv in (["--angles", "1/100000"], ["--n-max", "10000000000"]):
+            assert main(["sweep", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "exceeds 1e+08" in captured.err
+
     def test_bad_inputs_exit_one(self, capsys):
         assert main(["period", "--graph", "cycle:n=4,j=9", "--eta", "pi*1/2"]) == 1
         assert main(["period", "--graph", "cycle:n=4,j=1", "--eta", "pi*1/0"]) == 1

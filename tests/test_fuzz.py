@@ -6,7 +6,8 @@ error and prints no traceback, and no exception escapes ``main``.
 
 Sizes stay at a few hundred vertices or less.  Builder specs are refused
 above ``cli.MAX_BUILDER_VERTICES``, but a spec just under it still takes
-about a second, and sweep ranges are not bounded at all.
+about a second.  Sweep grids are refused above ``cli.MAX_SWEEP_WORK``, and
+the drawn ones stay far below it.
 """
 
 import json

@@ -96,15 +96,31 @@ class TestStructuredPowering:
         assert brute_force_period(ops.evolution, 30, step=step) == brute_force_period(ops.evolution, 30)
         assert len(calls) == 15
 
+    def test_no_projection_at_the_cap(self, monkeypatch):
+        ops = time_evolution(build_cycle(4, 1), 1.0)  # irrational angle: never periodic
+        project = linalg.project_to_unitary
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return project(m)
+
+        monkeypatch.setattr(linalg, "project_to_unitary", counted)
+        for cap, projections in ((64, 0), (65, 1), (128, 1)):
+            calls.clear()
+            assert not brute_force_period(ops.evolution, cap, step=ops.power_step).periodic
+            assert len(calls) == projections, cap
+
 
 def unscreened_period(u, cap, step=None):
-    """The powering search with the full identity distance at every power."""
+    """The powering search with the full identity distance at every power,
+    projecting every ``RENORMALIZE_EVERY`` steps but not at the cap."""
     step = step or (lambda acc: acc @ u)
     acc = np.eye(u.shape[0], dtype=complex)
     best = math.inf
     for tau in range(1, cap + 1):
         acc = step(acc)
-        if tau % linalg.RENORMALIZE_EVERY == 0:
+        if tau % linalg.RENORMALIZE_EVERY == 0 and tau < cap:
             acc = linalg.project_to_unitary(acc)
         dist = linalg.distance_to_identity(acc)
         best = min(best, dist)

@@ -241,6 +241,9 @@ class TestSpectralMap:
 
 
 class TestPowerStep:
+    """``power_step`` holds powers in ``step_order``: with o that order and
+    U' = U[o][:, o], it maps x to U' @ x."""
+
     def test_arc_array_step_matches_dense_product(self, monkeypatch):
         # every graph, down to the single edge, takes the arc-array step
         monkeypatch.setattr(walk, "STRUCTURED_STEP_MIN_ARCS", 0)
@@ -248,16 +251,23 @@ class TestPowerStep:
         for g in graphs_around_the_crossover():
             ops = time_evolution(g, 0.7)
             m = len(ops.arc_index)
+            o = ops.step_order
             x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-            assert np.max(np.abs(ops.power_step(x) - ops.evolution @ x)) < 1e-12
+            assert np.max(np.abs(ops.power_step(x) - ops.evolution[np.ix_(o, o)] @ x)) < 1e-12
 
     def test_next_power_on_both_sides_of_the_crossover(self):
         sizes = []
         for g in graphs_around_the_crossover():
             ops = time_evolution(g, RationalAngle(1, 5))
-            acc = np.linalg.matrix_power(ops.evolution, 3)
-            assert np.max(np.abs(ops.power_step(acc) - ops.evolution @ acc)) < 1e-12
-            sizes.append(len(ops.arc_index))
+            m = len(ops.arc_index)
+            o = ops.step_order
+            assert sorted(o) == list(range(m)) and not o.flags.writeable
+            if m < STRUCTURED_STEP_MIN_ARCS:
+                assert list(o) == list(range(m))
+            u = ops.evolution[np.ix_(o, o)]
+            acc = np.linalg.matrix_power(u, 3)
+            assert np.max(np.abs(ops.power_step(acc) - u @ acc)) < 1e-12
+            sizes.append(m)
         assert min(sizes) == 2
         assert max(sizes) >= STRUCTURED_STEP_MIN_ARCS > min(sizes)
 
