@@ -2,16 +2,18 @@
 
 A mixed graph is a simple graph in which every edge is either a digon
 (arcs in both directions, behaving like an undirected edge) or a single
-one-directional arc.  Vertices are dense integers ``0..n-1`` and the arc
-set is kept as a sorted tuple so that derived matrices are reproducible
-across runs.
+one-directional arc.  Vertices are dense integers ``0..n-1``.  A graph is
+held as ``edges``, its underlying edges as sorted rows ``(u, v)`` with
+u < v, and ``signs``, one int8 per edge as ``MixedGraph.edge_sign`` reads
+it from u to v.  Arcs, adjacency lists and degrees are derived from them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -24,96 +26,151 @@ BACKWARD = "backward"
 DIGON = "digon"
 
 
-@dataclass(frozen=True)
+def _id_pairs(pairs) -> np.ndarray:
+    """``pairs`` as a (k, 2) int64 array.  Ids must be Python or numpy
+    integers; floats, bools and strings are rejected, never truncated."""
+    pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+    try:  # TypeError: a pair is no sequence or an id no integer; OverflowError: past int64
+        if set(map(len, pairs)) <= {2}:
+            flat = list(itertools.chain.from_iterable(pairs))
+            ends = np.fromiter(map(operator.index, flat), np.int64, len(flat)).reshape(-1, 2)
+            # operator.index reads a bool as 0 or 1, so only those ids need a look
+            if not any(type(flat[i]) is bool for i in np.flatnonzero(ends <= 1).tolist()):
+                return ends
+    except (TypeError, OverflowError):
+        pass
+    raise InvalidGraphError("vertex pairs must be pairs of integer ids within int64")
+
+
 class MixedGraph:
-    """Immutable mixed graph on vertices ``0..n_vertices-1``.
+    """Immutable mixed graph on vertices ``0..n_vertices-1``, built from
+    ``arcs``, pairs ``(origin, terminus)`` with a digon as both directions
+    (a repeated arc counts once), or from ``edges`` and ``signs`` as
+    ``from_edge_signs`` reads them (an arc given twice is an error).
+    Non-integer ids, self-loops, out-of-range endpoints and weakly
+    disconnected graphs are rejected."""
 
-    ``arcs`` holds ordered pairs ``(origin, terminus)``; a digon is present
-    as both ``(u, v)`` and ``(v, u)``.  Construction rejects self-loops,
-    out-of-range endpoints, and weakly disconnected graphs.
-    """
-
-    n_vertices: int
-    arcs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n_vertices < 1:
-            raise InvalidGraphError("graph needs at least one vertex")
-        normalized = tuple(sorted({(int(o), int(t)) for o, t in self.arcs}))
-        object.__setattr__(self, "arcs", normalized)
-        for o, t in normalized:
-            if o == t:
-                raise InvalidGraphError(f"self-loop at vertex {o}")
-            if not (0 <= o < self.n_vertices and 0 <= t < self.n_vertices):
-                raise InvalidGraphError(f"arc ({o},{t}) out of range")
-        # a connected graph has at least n - 1 edges; checked before the
-        # adjacency lists, whose size grows with n however few edges there are
-        if self.n_vertices > len(self.edges) + 1 or not self._weakly_connected():
+    def __init__(self, n_vertices: int, arcs: Iterable[tuple[int, int]] = (), *, edges=None, signs=None):
+        if isinstance(n_vertices, bool) or not isinstance(n_vertices, (int, np.integer)) or n_vertices < 1:
+            raise InvalidGraphError(f"graph needs an integer vertex count >= 1, got {n_vertices!r}")
+        n = int(n_vertices)
+        ends = _id_pairs(arcs if edges is None else edges)
+        # an arc (o, t) is the edge (o, t) with sign +1
+        s = np.asarray(signs) if edges is not None else np.ones(len(ends), dtype=np.int8)
+        # argmin and argmax: the cheapest extremes of a short array
+        if s.shape != (len(ends),) or s.size and (s.dtype.kind not in "iu" or s[s.argmin()] < -1 or s[s.argmax()] > 1):
+            raise InvalidGraphError("need one edge sign in {-1, 0, +1} per edge")
+        lo, hi = ends.T  # views: the pairs as given, then sorted within each row
+        direction = np.sign(hi - lo)
+        if np.count_nonzero(direction) < len(ends):
+            raise InvalidGraphError(f"self-loop at vertex {lo[direction == 0][0]}")
+        s = (s * direction).astype(np.int8)  # each sign read from the smaller end
+        ends.sort(axis=1)
+        if n > len(ends) + 1:  # fewer than n - 1 edges; it also keeps the keys in int64
+            raise InvalidGraphError("underlying graph is not connected")
+        if len(ends) and (lo[lo.argmin()] < 0 or hi[hi.argmax()] >= n):
+            raise InvalidGraphError(f"vertex id out of range for {n} vertices")
+        keys = lo * n + hi
+        order = keys.argsort()
+        keys = keys[order]
+        if np.count_nonzero(keys[1:] == keys[:-1]):
+            # merge the entries of each edge as bit masks of their arcs (bit 0
+            # for u -> v, bit 1 for v -> u); under edges= no bit may repeat
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            mask = (s[order] >= 0) + 2 * (s[order] <= 0)
+            merged = np.bitwise_or.reduceat(mask, starts)
+            if edges is not None and np.count_nonzero(np.add.reduceat(mask, starts) != merged):
+                raise InvalidGraphError("an arc is given twice")
+            keys, order, s = keys[starts], order[starts], ((merged & 1) - (merged >> 1)).astype(np.int8)
+        else:
+            s = s[order]
+        self._set(n, ends[order], s, keys)
+        if n > len(keys) + 1 or not self._weakly_connected():
             raise InvalidGraphError("underlying graph is not connected")
 
+    def _set(self, n: int, edges: np.ndarray, signs: np.ndarray, keys: np.ndarray) -> None:
+        edges.setflags(write=False)
+        signs.setflags(write=False)
+        # keys[i] = u * n + v for edges[i] = (u, v), ascending
+        self.__dict__.update(n_vertices=n, edges=edges, signs=signs, _keys=keys)
+
+    def _with_signs(self, signs: np.ndarray) -> "MixedGraph":
+        """The same underlying graph, validated already, with other signs."""
+        graph = object.__new__(MixedGraph)
+        graph._set(self.n_vertices, self.edges, signs, self._keys)
+        if "adjacency" in self.__dict__:  # it reads the edges only
+            graph.__dict__["adjacency"] = self.adjacency
+        return graph
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MixedGraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, MixedGraph):
+            return NotImplemented
+        same = self.n_vertices == other.n_vertices and np.array_equal(self.edges, other.edges)
+        return same and np.array_equal(self.signs, other.signs)
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self.edges.tobytes(), self.signs.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"MixedGraph(n_vertices={self.n_vertices}, arcs={self.arcs!r})"
+
     def _weakly_connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            for w in self.adjacency[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n_vertices
+        adj, seen, stack = self.adjacency, bytearray(self.n_vertices), [0]
+        seen[0] = 1
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+        return 0 not in seen
+
+    def _arcs_signed_at_least(self, lowest: int) -> tuple[tuple[int, int], ...]:
+        """Sorted arcs (o, t) with ``edge_sign(o, t) >= lowest`` (0: all, 1: lone)."""
+        signed = zip(self.edges.tolist(), self.signs.tolist())
+        return tuple(sorted(a for (u, v), s in signed for a, t in (((u, v), s), ((v, u), -s)) if t >= lowest))
 
     @cached_property
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.arcs)
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Every arc as ``(origin, terminus)``, sorted lexicographically."""
+        return self._arcs_signed_at_least(0)
 
-    def has_arc(self, o: int, t: int) -> bool:
-        return (o, t) in self.arc_set
-
-    def is_digon(self, u: int, v: int) -> bool:
-        return (u, v) in self.arc_set and (v, u) in self.arc_set
+    @cached_property
+    def _sign_of_edge(self) -> dict[tuple[int, int], int]:
+        return dict(zip(map(tuple, self.edges.tolist()), self.signs.tolist()))
 
     def edge_sign(self, o: int, t: int) -> int:
         """Orientation of the edge {o, t} read from o to t: 0 for a digon,
         +1 for a lone arc o -> t, -1 for a lone arc t -> o."""
-        arcs = self.arc_set
-        backward = (t, o) in arcs
-        if (o, t) in arcs:
-            return 0 if backward else 1
-        if backward:
-            return -1
-        raise InvalidGraphError(f"no edge joins {o} and {t}")
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Underlying undirected edges as sorted pairs ``(u, v)`` with u < v."""
-        return tuple(sorted({(min(o, t), max(o, t)) for o, t in self.arcs}))
+        s = self._sign_of_edge.get((o, t) if o < t else (t, o))
+        if s is None:
+            raise InvalidGraphError(f"no edge joins {o} and {t}")
+        return s if o < t else -s
 
     @cached_property
     def digons(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, v in self.edges if self.is_digon(u, v))
+        return tuple(map(tuple, self.edges[self.signs == 0].tolist()))
 
     @cached_property
     def one_directional(self) -> tuple[tuple[int, int], ...]:
         """Arcs whose reverse is absent, as stored (origin, terminus) pairs."""
-        return tuple(a for a in self.arcs if (a[1], a[0]) not in self.arc_set)
-
-    @cached_property
-    def symmetric_arcs(self) -> tuple[tuple[int, int], ...]:
-        """All arcs of the symmetrized graph, sorted lexicographically."""
-        both = {(o, t) for o, t in self.arcs} | {(t, o) for o, t in self.arcs}
-        return tuple(sorted(both))
+        return self._arcs_signed_at_least(1)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbors of every vertex in the underlying graph."""
+        """Sorted neighbors of every vertex in the underlying graph (the
+        edges are sorted, so each list fills in ascending order)."""
         adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
+        for u, v in zip(*self.edges.T.tolist()):
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def degree(self, x: int) -> int:
         """Degree of ``x`` in the underlying graph."""
@@ -121,32 +178,34 @@ class MixedGraph:
             raise InvalidGraphError(f"vertex {x} out of range")
         return self.degrees[x]
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x < self.n_vertices:
-            raise InvalidGraphError(f"vertex {x} out of range")
-        return self.adjacency[x]
-
     def underlying(self) -> "MixedGraph":
         """Symmetrize every arc into a digon."""
-        return MixedGraph(self.n_vertices, self.symmetric_arcs)
+        return self._with_signs(np.zeros_like(self.signs))
 
     def girth(self) -> int | float:
         """Length of the shortest cycle of the underlying graph, ``inf`` for trees.
 
-        BFS from every vertex; fine at desk scale.
-        """
-        adj = self.adjacency
+        Vertices of degree at most 1 are peeled off; the connected 2-core
+        left is empty for a tree, one cycle when all its degrees are 2, and
+        else searched by a BFS from each vertex, cut off at half the best."""
+        adj, degree = self.adjacency, list(self.degrees)
+        peeled = [x for x, d in enumerate(degree) if d <= 1]
+        for x in peeled:  # the list grows as it is read
+            for w in adj[x]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        core = set(range(self.n_vertices)).difference(peeled)
+        if all(degree[x] == 2 for x in core):
+            return len(core) or math.inf
         best: int | float = math.inf
-        for root in range(self.n_vertices):
-            dist = {root: 0}
-            parent = {root: -1}
-            queue = deque([root])
-            while queue:
+        for root in core:
+            dist, parent, queue = {root: 0}, {root: -1}, deque([root])
+            while queue and 2 * dist[queue[0]] < best:
                 u = queue.popleft()
-                for w in adj[u]:
+                for w in core.intersection(adj[u]):
                     if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
+                        dist[w], parent[w] = dist[u] + 1, u
                         queue.append(w)
                     elif parent[u] != w:
                         best = min(best, dist[u] + dist[w] + 1)
@@ -154,8 +213,6 @@ class MixedGraph:
 
     def is_path_graph(self) -> bool:
         """True when the underlying graph is a simple path on >= 2 vertices."""
-        if self.n_vertices < 2:
-            return False
         degs = sorted(self.degrees)
         return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
 
@@ -164,58 +221,55 @@ class MixedGraph:
         return self.n_vertices >= 3 and all(d == 2 for d in self.degrees)
 
     def cycle_order(self) -> tuple[int, ...]:
-        """Vertices in traversal order around the cycle, starting at 0.
-
-        The second vertex is the smaller neighbor of 0, which fixes the
-        traversal direction deterministically.
-        """
+        """Vertices in traversal order around the cycle, starting at 0; the
+        second is the smaller neighbor of 0, which fixes the direction."""
         if not self.is_cycle_graph():
             raise InvalidGraphError("underlying graph is not a cycle")
-        order = [0, min(self.neighbors(0))]
+        adj = self.adjacency
+        order = [0, adj[0][0]]
         while len(order) < self.n_vertices:
-            a, b = self.neighbors(order[-1])
+            a, b = adj[order[-1]]
             order.append(a if b == order[-2] else b)
         return tuple(order)
 
     def reversed_arcs(self) -> "MixedGraph":
         """Reverse every arc (digons are unchanged)."""
-        return MixedGraph(self.n_vertices, tuple((t, o) for o, t in self.arcs))
+        return self._with_signs(-self.signs)
 
     def relabeled(self, perm: Sequence[int]) -> "MixedGraph":
         """Apply the vertex permutation ``perm`` (old label -> new label)."""
         if sorted(perm) != list(range(self.n_vertices)):
             raise InvalidGraphError("relabeling is not a permutation")
-        return MixedGraph(
-            self.n_vertices, tuple((perm[o], perm[t]) for o, t in self.arcs)
-        )
+        return MixedGraph(self.n_vertices, edges=np.asarray(perm)[self.edges].tolist(), signs=self.signs)
 
 
 class ArcIndex:
-    """Deterministic total order on the symmetric arc set of a mixed graph.
-
-    Arcs are sorted lexicographically by (origin, terminus); the inverse of
-    every indexed arc is itself indexed, so inversion acts as a fixed-point
-    free involution on positions.  ``origin``, ``terminus`` and ``inverse``
-    are integer arrays over positions, so operators on the arc space are
-    built by scattering into them.
-    """
+    """Deterministic total order on the symmetric arc set of a mixed graph:
+    one argsort of origin * n + terminus over both arcs of every edge.
+    Inversion is a fixed-point free involution on positions.  ``origin``,
+    ``terminus``, ``inverse`` and ``signs`` (``edge_sign`` along each arc)
+    are integer arrays over positions, for building operators by scatter."""
 
     def __init__(self, graph: MixedGraph):
-        self.arcs: tuple[tuple[int, int], ...] = graph.symmetric_arcs
-        ends = np.array(self.arcs, dtype=np.intp).reshape(-1, 2)
-        self.origin: np.ndarray = ends[:, 0]
-        self.terminus: np.ndarray = ends[:, 1]
-        self._n = graph.n_vertices
-        # lexicographic order is ascending order of origin * n + terminus
-        self._keys = self.origin * self._n + self.terminus
-        self.inverse: np.ndarray = np.searchsorted(self._keys, self.terminus * self._n + self.origin)
+        n, (u, v) = graph.n_vertices, graph.edges.T
+        keys = np.concatenate((graph._keys, v * n + u))  # edge i: u -> v at i, v -> u at E + i
+        order = keys.argsort()
+        self._n, self._keys = n, keys[order]
+        self.origin, self.terminus = np.divmod(self._keys, self._n)
+        self.signs = np.concatenate((graph.signs, -graph.signs))[order]
+        # the reverse of the arc at doubled position j sits at j + E, mod 2E
+        self.inverse = order.argsort()[(order + len(order) // 2) % max(len(order), 1)]
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.origin.tolist(), self.terminus.tolist()))
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self._keys)
 
     def index(self, arc: tuple[int, int]) -> int:
         i = int(np.searchsorted(self._keys, arc[0] * self._n + arc[1]))
-        if i == len(self.arcs) or self.arcs[i] != tuple(arc):
+        if i == len(self) or (self.origin[i], self.terminus[i]) != tuple(arc):
             raise KeyError(arc)
         return i
 
@@ -223,21 +277,13 @@ class ArcIndex:
 #: Orientation symbol -> edge sign, in the convention of ``MixedGraph.edge_sign``.
 EDGE_SIGN = {FORWARD: 1, BACKWARD: -1, DIGON: 0}
 #: Random orientations draw 0, 1 or 2 per edge: forward, backward or digon.
-_DRAWN_SIGN = (1, -1, 0)
+_DRAWN_SIGN = np.array((1, -1, 0), dtype=np.int8)
 
 
-def from_edge_signs(
-    n: int, edges: Iterable[tuple[int, int]], signs: Iterable[int]
-) -> MixedGraph:
+def from_edge_signs(n: int, edges, signs) -> MixedGraph:
     """Mixed graph with edge (u, v) realized as the arc u -> v for sign +1,
     the arc v -> u for -1, and a digon for 0."""
-    arcs: list[tuple[int, int]] = []
-    for (u, v), s in zip(edges, signs):
-        if s >= 0:
-            arcs.append((u, v))
-        if s <= 0:
-            arcs.append((v, u))
-    return MixedGraph(n, tuple(arcs))
+    return MixedGraph(n, edges=edges, signs=signs)
 
 
 def _cycle_edges(n: int) -> list[tuple[int, int]]:
@@ -262,9 +308,7 @@ def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
     if n < 2:
         raise InvalidGraphError(f"a path needs n >= 2, got {n}")
     if len(orientation) != n - 1:
-        raise InvalidGraphError(
-            f"orientation length {len(orientation)} != {n - 1}"
-        )
+        raise InvalidGraphError(f"orientation length {len(orientation)} != {n - 1}")
     unknown = [symbol for symbol in orientation if symbol not in EDGE_SIGN]
     if unknown:
         raise InvalidGraphError(f"unknown orientation symbol {unknown[0]!r}")
@@ -274,54 +318,34 @@ def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
 JSON_FIELDS = ("n", "arcs", "edges")
 
 
-def _is_vertex_id(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _json_pairs(data: dict, field: str) -> list[tuple[int, int]]:
-    pairs = data.get(field, [])
-    if not isinstance(pairs, list):
-        raise InvalidGraphError(f"graph JSON field {field!r} must be a list of pairs")
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_vertex_id, pair))):
-            raise InvalidGraphError(
-                f"graph JSON field {field!r} holds {pair!r}; want a pair of integer vertex ids"
-            )
-    return [(o, t) for o, t in pairs]
-
-
 def from_json_dict(data: dict) -> MixedGraph:
     """Load the interchange format ``{"n":, "arcs": [[o,t],..], "edges": [[u,v],..]}``.
 
     ``edges`` is shorthand for digons; ``arcs`` and ``edges`` default to
-    empty.  ``n`` and every vertex id must be JSON integers and every pair
-    must have two entries; unknown fields, duplicates (after expanding
-    edges) and self-loops are rejected.
+    empty.  ``n`` and every vertex id must be integers and every pair must
+    have two entries; unknown fields, duplicates (after expanding edges)
+    and self-loops are rejected.
     """
     if not isinstance(data, dict):
         raise InvalidGraphError("graph JSON must be an object with fields 'n', 'arcs', 'edges'")
     unknown = sorted(str(key) for key in data if key not in JSON_FIELDS)
     if unknown:
         raise InvalidGraphError(f"graph JSON has unknown fields {unknown}")
-    if not _is_vertex_id(data.get("n")):
+    n, arcs, edges = data.get("n"), data.get("arcs", []), data.get("edges", [])
+    if not (isinstance(n, int) and not isinstance(n, bool)):
         raise InvalidGraphError("graph JSON needs an integer field 'n'")
-    arcs = _json_pairs(data, "arcs")
-    for u, v in _json_pairs(data, "edges"):
-        if u == v:
-            raise InvalidGraphError(f"self-loop edge [{u},{v}]")
-        arcs.extend([(u, v), (v, u)])
-    if len(set(arcs)) != len(arcs):
-        raise InvalidGraphError("duplicate arcs in graph JSON")
-    return MixedGraph(data["n"], tuple(arcs))
+    if not (isinstance(arcs, list) and isinstance(edges, list)):
+        raise InvalidGraphError("graph JSON fields 'arcs' and 'edges' must be lists of pairs")
+    # an arc o -> t is the edge (o, t) with sign +1, an edge a digon
+    return MixedGraph(n, edges=arcs + edges, signs=[1] * len(arcs) + [0] * len(edges))
 
 
 def to_json_dict(graph: MixedGraph) -> dict:
     """Emit the interchange format; digons go under ``edges``."""
-    digons = set(graph.digons)
     return {
         "n": graph.n_vertices,
         "arcs": [list(a) for a in graph.one_directional],
-        "edges": [list(e) for e in sorted(digons)],
+        "edges": [list(e) for e in graph.digons],
     }
 
 
@@ -329,7 +353,7 @@ def _randomly_oriented(n: int, edges: list[tuple[int, int]], rng) -> MixedGraph:
     """Orient each edge by one draw of the whole vector, in edge order; it
     yields the same values, and leaves ``rng`` in the same state, as one
     scalar draw per edge."""
-    return from_edge_signs(n, edges, [_DRAWN_SIGN[k] for k in rng.integers(0, 3, size=len(edges))])
+    return from_edge_signs(n, edges, _DRAWN_SIGN[rng.integers(0, 3, size=len(edges))])
 
 
 def random_mixed_path(n: int, rng) -> MixedGraph:
@@ -354,18 +378,14 @@ def random_unicyclic(n: int, rng) -> MixedGraph:
     if n < 3:
         raise InvalidGraphError("unicyclic graphs need n >= 3")
     c = int(rng.integers(3, n + 1))
-    edges = _cycle_edges(c)
-    edges += [(int(rng.integers(0, i)), i) for i in range(c, n)]
+    edges = _cycle_edges(c) + [(int(rng.integers(0, i)), i) for i in range(c, n)]
     return _randomly_oriented(n, edges, rng)
 
 
 def random_mixed_graph(n: int, rng, extra_edge_prob: float = 0.3) -> MixedGraph:
     """Random connected mixed graph: a tree plus random chords."""
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-    present = {frozenset(e) for e in edges}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if frozenset((u, v)) not in present and rng.random() < extra_edge_prob:
-                edges.append((u, v))
-                present.add(frozenset((u, v)))
+    present = set(edges)  # tree edges (parent, child) have parent < child
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+    edges += [e for e in pairs if e not in present and rng.random() < extra_edge_prob]
     return _randomly_oriented(n, edges, rng)

@@ -22,7 +22,7 @@ from .errors import ContractViolationError, DomainError
 from .graphs import MixedGraph, build_cycle
 from .spectra import Angle, RationalAngle, angle_radians
 from .switching import classify_cycle
-from .walk import WalkOperators, time_evolution
+from .walk import time_evolution
 from . import linalg
 
 DEFAULT_CAP = 10_000
@@ -162,26 +162,26 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
     powering whenever the arc space has at most 32 dimensions and the
     predicted period fits under the powering budget.
     """
-    ops = time_evolution(graph, eta)
-
     if graph.is_path_graph():
         tau = path_period(graph.n_vertices)
         # The powering cap is the period itself; hitting it proves minimality.
-        return _closed_form_report(ops, tau, METHOD_PATH, tau)
+        return _closed_form_report(graph, eta, tau, METHOD_PATH, tau)
 
     if graph.is_cycle_graph() and isinstance(eta, RationalAngle):
         j = classify_cycle(graph)
         tau = cycle_period(graph.n_vertices, j, eta)
         # The powering cap is the guaranteed return exponent 2qn.
         guaranteed = 2 * eta.q * graph.n_vertices
-        return _closed_form_report(ops, tau, METHOD_CYCLE, guaranteed)
+        return _closed_form_report(graph, eta, tau, METHOD_CYCLE, guaranteed)
 
+    ops = time_evolution(graph, eta)
     return brute_force_period(ops.evolution, cap, step=ops.power_step)
 
 
-def _closed_form_report(ops: WalkOperators, tau: int, method: str, cap: int) -> PeriodReport:
-    if len(ops.arc_index) > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
+def _closed_form_report(graph: MixedGraph, eta: Angle, tau: int, method: str, cap: int) -> PeriodReport:
+    if 2 * len(graph.edges) > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
         return PeriodReport(True, tau, method, cap, NOT_RUN, None)
+    ops = time_evolution(graph, eta)
     brute = brute_force_period(ops.evolution, max(cap, tau), step=ops.power_step)
     agrees = brute.periodic and brute.period == tau
     return PeriodReport(

@@ -90,22 +90,22 @@ def h_eta(graph: MixedGraph, eta: Angle) -> np.ndarray:
     by construction in conjugate pairs.
     """
     w = complex(np.exp(1j * angle_radians(eta)))
-    phase = {0: complex(1.0), 1: w, -1: w.conjugate()}
+    z = np.array([1.0, w, w.conjugate()])[graph.signs]  # sign -1 takes the last
     h = np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)
-    for u, v in graph.edges:
-        z = phase[graph.edge_sign(u, v)]
-        h[u, v] = z
-        h[v, u] = z.conjugate()
+    u, v = graph.edges.T
+    h[u, v] = z
+    h[v, u] = z.conj()
     return h
 
 
-def normalized_h_eta(graph: MixedGraph, eta: Angle) -> np.ndarray:
-    """Degree-normalized variant D^{-1/2} H D^{-1/2}; spectral radius <= 1."""
+def normalized_h_eta(graph: MixedGraph, eta: Angle, h: np.ndarray | None = None) -> np.ndarray:
+    """Degree-normalized variant D^{-1/2} H D^{-1/2}; spectral radius <= 1.
+    ``h``, when the caller built it already, is ``h_eta(graph, eta)``."""
     degs = graph.degrees
     if any(d == 0 for d in degs):
         raise DomainError("normalization needs every degree >= 1")
     scale = 1.0 / np.sqrt(np.asarray(degs, dtype=float))
-    return h_eta(graph, eta) * scale[:, None] * scale[None, :]
+    return (h_eta(graph, eta) if h is None else h) * scale[:, None] * scale[None, :]
 
 
 def det_path_closed(n: int) -> float:
@@ -158,12 +158,6 @@ def cycle_charpoly_closed(n: int, j: int, eta: Angle) -> np.ndarray:
     return coeffs
 
 
-def charpoly_tail_coefficient(coeffs: np.ndarray, l: int) -> complex:
-    """Coefficient of lambda^(n-l) in a degree-n low-to-high polynomial."""
-    n = len(coeffs) - 1
-    return complex(coeffs[n - l])
-
-
 def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np.ndarray:
     """For each angle, the largest |difference| between the graph's and its
     underlying graph's coefficients of lambda^(n-l), over every l below the
@@ -177,10 +171,11 @@ def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np
     n = graph.n_vertices
     s = graph.girth()
     limit = n if math.isinf(s) else int(s) - 1
-    stack = [
-        [build(h, eta) for eta in etas for build in (h_eta, normalized_h_eta)]
-        for h in (graph, graph.underlying())
-    ]
+    stack = []
+    for g in (graph, graph.underlying()):
+        for eta in etas:
+            h = h_eta(g, eta)
+            stack += [h, normalized_h_eta(g, eta, h)]
     coeffs = linalg.charpoly(np.array(stack, dtype=complex).reshape(2, 2 * len(etas), n, n))
     diff = coeffs[0, :, n - limit : n] - coeffs[1, :, n - limit : n]
     # hypot, as Python's abs(complex) computes it; np.abs may differ by an ulp

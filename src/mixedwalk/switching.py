@@ -80,11 +80,6 @@ class SwitchingFunction:
     def identity(cls, n: int, eta: Angle) -> "SwitchingFunction":
         return cls((0,) * n, eta)
 
-    def bumped(self, vertex: int, delta: int) -> "SwitchingFunction":
-        exps = list(self.exponents)
-        exps[vertex] += delta
-        return SwitchingFunction(tuple(exps), self.eta)
-
     def values(self) -> np.ndarray:
         rad = angle_radians(self.eta)
         return np.exp(1j * rad * np.asarray(self.exponents, dtype=float))
@@ -118,24 +113,18 @@ def recognize_mixed_graph(matrix, eta: Angle) -> MixedGraph:
             "phase is indistinguishable from 1; reading every entry as a digon",
             stacklevel=2,
         )
-    tol = RECOGNIZE_TOL
-    arcs: list[tuple[int, int]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            z = m[u, v]
-            if abs(z) <= tol:
-                continue
-            if degenerate or abs(z - 1.0) <= tol:
-                arcs.extend([(u, v), (v, u)])
-            elif abs(z - w) <= tol:
-                arcs.append((u, v))
-            elif abs(z - w.conjugate()) <= tol:
-                arcs.append((v, u))
-            else:
-                raise NotMixedGraphError(
-                    f"entry ({u},{v}) = {z:.6g} is not in {{0, 1, e^(+-i eta)}}"
-                )
-    return MixedGraph(n, tuple(arcs))
+    u, v = np.triu_indices(n, 1)
+    z = m[u, v]
+    # the first of 1, e^{i eta}, e^{-i eta} near an entry gives its sign 0, +1, -1
+    near = np.abs(z[:, None] - np.array([1.0, w, w.conjugate()])) <= RECOGNIZE_TOL
+    near[:, 0] |= degenerate
+    present = np.abs(z) > RECOGNIZE_TOL
+    alien = np.flatnonzero(present & ~near.any(axis=1))
+    if alien.size:
+        i = alien[0]
+        raise NotMixedGraphError(f"entry ({u[i]},{v[i]}) = {z[i]:.6g} is not in {{0, 1, e^(+-i eta)}}")
+    signs = np.array([0, 1, -1])[near.argmax(axis=1)]
+    return from_edge_signs(n, np.stack((u, v), axis=1)[present].tolist(), signs[present])
 
 
 def classify_cycle(graph: MixedGraph) -> int:
@@ -297,8 +286,7 @@ def _signs_in_order(graph: MixedGraph, order: tuple[int, ...]) -> list[int]:
     Edge i joins order[i] and order[i+1]; sign +1 means the arc follows the
     traversal, -1 opposes it, 0 marks a digon.
     """
-    n = len(order)
-    return [graph.edge_sign(order[i], order[(i + 1) % n]) for i in range(n)]
+    return [graph.edge_sign(a, b) for a, b in zip(order, order[1:] + order[:1])]
 
 
 def _first_opposing_pair_start(signs: list[int]) -> int:

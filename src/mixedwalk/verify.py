@@ -20,7 +20,7 @@ from .graphs import (
     ArcIndex,
     MixedGraph,
     build_cycle,
-    build_path,
+    from_edge_signs,
     random_mixed_cycle,
     random_mixed_graph,
     random_mixed_path,
@@ -41,9 +41,7 @@ class CheckResult:
 
 
 def _all_digon_path(n: int) -> MixedGraph:
-    if n == 1:
-        return MixedGraph(1, ())
-    return build_path(n, ["digon"] * (n - 1))
+    return from_edge_signs(n, [(i, i + 1) for i in range(n - 1)], [0] * (n - 1))
 
 
 def check_quarter_turn_determinant_table(seed: int = 0) -> tuple[bool, str]:

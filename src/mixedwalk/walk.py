@@ -50,10 +50,9 @@ class WalkOperators:
 
     @cached_property
     def phases(self) -> np.ndarray:
-        """e^{i theta(a)} per arc: theta is +eta on one-directional arcs, -eta
-        on their reverses, 0 on digons, read from exact integer edge signs."""
-        signs = [self.graph.edge_sign(o, t) for o, t in self.arc_index.arcs]
-        return np.exp(1j * angle_radians(self.eta) * np.asarray(signs, dtype=float))
+        """e^{i theta(a)} per arc, theta = eta * s for the exact integer arc sign s:
+        a gather from the phases listed for s = 0, +1, -1 (index -1)."""
+        return np.exp(1j * angle_radians(self.eta) * np.array([0.0, 1.0, -1.0]))[self.arc_index.signs]
 
     @cached_property
     def boundary(self) -> np.ndarray:

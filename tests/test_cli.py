@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -165,6 +166,47 @@ class TestCommands:
             '[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], '
             '[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}\n'
         )
+
+    PINNED_GRAPHS = {
+        "chorded": {"n": 5, "arcs": [[0, 1], [2, 1], [3, 4]], "edges": [[1, 3], [0, 2], [2, 3]]},
+        "cycle": {"n": 6, "arcs": [[0, 1], [2, 1], [2, 3], [5, 4]], "edges": [[3, 4], [5, 0]]},
+        "star": {"n": 4, "arcs": [[1, 0], [1, 2]], "edges": [[1, 3]]},
+    }
+    # stdout length and SHA-256, recorded while graphs were still stored as
+    # sorted tuples of arc pairs
+    PINNED_DIGESTS = [
+        (["spectrum", "chorded", "pi*1/3"], 577, "a19df3c2d12fe804db7b16568a51d7e1c66350dfeb1cb4df4a1e2bfe26988f65"),
+        (["spectrum", "star", "0.8"], 373, "8ffdb4b138c9d66428ef832a5e2c6ca24eebb5940e6a0b8b8dd4e783fe9ddd23"),
+        (["spectrum", "cycle", "pi*2/5"], 529, "7a9cc9846f8149e730f9ac80131b6a89a3be5a166ee8f63981f182480deb63b0"),
+        (["classify-cycle", "cycle", "pi*1/5"], 270, "3e17546d47281690ba44c7feb625820f08b360d84bc99772c1812088af4e39d8"),
+        (["walk", "star", "0.9", "--operators", "U,K,C,S"], 2375,
+         "610a9967d79ad264df978043f0edc886d236bf2a6c60424eec3bf47e3e807b64"),
+    ]
+    PINNED_PERIODS = [
+        (["period", "cycle", "pi*1/4"],
+         '{"periodic": true, "period": 6, "method": "closed_form_cycle", "cap_used": 48, '
+         '"cross_check": "agree", "residual": 1.1102230246251565e-15}\n'),
+        (["period", "chorded", "0.7", "--cap", "40"],
+         '{"periodic": false, "period": null, "method": "brute_force", "cap_used": 40, '
+         '"cross_check": "not_run", "residual": 0.6823509249139474, "rational_angle_hint": null}\n'),
+        (["period", "star", "pi*1/3", "--cap", "30"],
+         '{"periodic": true, "period": 4, "method": "brute_force", "cap_used": 30, '
+         '"cross_check": "not_run", "residual": 4.3723665266107425e-16}\n'),
+    ]
+
+    def test_outputs_on_fixed_json_graphs_are_pinned(self, capsys, tmp_path):
+        for name, graph in self.PINNED_GRAPHS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(graph))
+
+        def run(command, name, eta, *rest):
+            assert main([command, "--graph", str(tmp_path / f"{name}.json"), "--eta", eta, *rest]) == 0
+            return capsys.readouterr().out
+
+        for argv, size, digest in self.PINNED_DIGESTS:
+            out = run(*argv)
+            assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest), argv
+        for argv, want in self.PINNED_PERIODS:
+            assert run(*argv) == want, argv
 
     def test_period_irrational(self, capsys):
         code = main(["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "500"])

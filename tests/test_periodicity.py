@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from mixedwalk import linalg
+from mixedwalk import linalg, periodicity
 from mixedwalk.errors import ContractViolationError, DomainError
 from mixedwalk.graphs import (
     build_cycle,
@@ -245,6 +245,20 @@ class TestPeriodOf:
                     rep = period_of(build_cycle(n, j), eta)
                     assert rep.period == cycle_period(n, j, eta)
                     assert rep.cross_check == AGREE
+
+    def test_closed_forms_past_the_cross_check_build_no_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built the walk for a closed form that powering does not check")
+
+        monkeypatch.setattr(periodicity, "time_evolution", refuse)
+        eta = RationalAngle(1, 5)
+        rep = period_of(build_cycle(300, 7), eta)
+        assert (rep.period, rep.cross_check) == (cycle_period(300, 7, eta), NOT_RUN)
+        rep = period_of(build_path(300, ["forward"] * 299), 0.4)
+        assert (rep.period, rep.cross_check) == (598, NOT_RUN)
+        # 16 arcs: the closed form is cross-checked, so the walk is built
+        with pytest.raises(AssertionError, match="built the walk"):
+            period_of(build_cycle(8, 3), eta)
 
     def test_period_invariant_under_switching(self):
         rng = np.random.default_rng(1)

@@ -17,7 +17,6 @@ from mixedwalk.spectra import (
     ETA_GRID,
     RationalAngle,
     angle_radians,
-    charpoly_tail_coefficient,
     coefficient_gaps_below_girth,
     coefficients_agree_up_to_girth,
     cospectral,
@@ -211,9 +210,10 @@ class TestCoefficientAgreement:
         assert coefficients_agree_up_to_girth(g, eta)  # checks l <= 3 only
         a = linalg.charpoly(h_eta(g, eta))
         b = linalg.charpoly(h_eta(g.underlying(), eta))
+        # a and b run low to high, so a[4 - l] is the coefficient of lambda^(4-l)
         for l in (1, 2, 3):
-            assert abs(charpoly_tail_coefficient(a, l) - charpoly_tail_coefficient(b, l)) < 1e-8
-        assert abs(charpoly_tail_coefficient(a, 4) - charpoly_tail_coefficient(b, 4)) > 1.0
+            assert abs(a[4 - l] - b[4 - l]) < 1e-8
+        assert abs(a[0] - b[0]) > 1.0
 
 
 def gap_by_coefficient(graph, eta):
@@ -226,7 +226,8 @@ def gap_by_coefficient(graph, eta):
         a = linalg.charpoly(build(graph, eta))
         b = linalg.charpoly(build(und, eta))
         for l in range(1, min(limit, graph.n_vertices) + 1):
-            worst = max(worst, abs(charpoly_tail_coefficient(a, l) - charpoly_tail_coefficient(b, l)))
+            n = graph.n_vertices  # coefficient of lambda^(n-l), low to high
+            worst = max(worst, abs(complex(a[n - l]) - complex(b[n - l])))
     return worst
 
 
@@ -244,6 +245,18 @@ class TestCoefficientGaps:
             gaps = coefficient_gaps_below_girth(g, ETA_GRID)
             assert gaps.shape == (len(ETA_GRID),)
             assert gaps.tolist() == [gap_by_coefficient(g, eta) for eta in ETA_GRID]
+
+    def test_one_plain_build_per_graph_and_angle(self, monkeypatch):
+        built = []
+        plain = spectra.h_eta
+        monkeypatch.setattr(spectra, "h_eta", lambda g, eta: built.append(eta) or plain(g, eta))
+        g = random_unicyclic(9, np.random.default_rng(3))
+        gaps = coefficient_gaps_below_girth(g, ETA_GRID)
+        assert built == 2 * list(ETA_GRID)  # the graph's, then its underlying graph's
+        monkeypatch.undo()
+        assert gaps.tolist() == [gap_by_coefficient(g, eta) for eta in ETA_GRID]
+        for eta in ETA_GRID:
+            assert np.array_equal(normalized_h_eta(g, eta, h_eta(g, eta)), normalized_h_eta(g, eta))
 
     def test_agreement_flips_where_tol_crosses_the_gap(self, monkeypatch):
         # the tolerance is read at call time, so patching it moves the gate

@@ -61,7 +61,7 @@ class TestApplySwitching:
         # phase there turns both into digons
         g = MixedGraph(3, ((0, 1), (2, 1), (0, 2), (2, 0)))
         eta = RationalAngle(1, 5)
-        alpha = SwitchingFunction.identity(3, eta).bumped(1, 1)
+        alpha = SwitchingFunction((0, 1, 0), eta)
         switched = apply_switching(g, eta, alpha)
         expected = h_eta(MixedGraph(3, ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0))), eta)
         assert np.max(np.abs(switched - expected)) < 1e-15
@@ -115,15 +115,15 @@ class TestNamedMoves:
         # vertex 5 sees the in-arc 6>5 and the digon 4-5, so the arc slides
         # through: 6>5 becomes a digon, the digon becomes 5>4
         out = named_move(g, RationalAngle(1, 3), SW4, 5)
-        assert out.has_arc(5, 4) and not out.has_arc(4, 5)  # digon became out-arc
-        assert out.is_digon(5, 6)  # in-arc became digon
+        assert out.edge_sign(5, 4) == 1  # digon became out-arc
+        assert out.edge_sign(5, 6) == 0  # in-arc became digon
 
     def test_figure_step_two_collapses_head_to_head(self):
         g = figure_eight_cycle()
         step1 = named_move(g, RationalAngle(1, 3), SW4, 5)
         # after the slide both arcs point into vertex 4
         step2 = named_move(step1, RationalAngle(1, 3), SW2, 4)
-        assert step2.is_digon(3, 4) and step2.is_digon(4, 5)
+        assert step2.edge_sign(3, 4) == 0 and step2.edge_sign(4, 5) == 0
 
     def test_sw2_needs_two_inward_arcs(self):
         g = figure_eight_cycle()
@@ -133,7 +133,7 @@ class TestNamedMoves:
     def test_sw3_collapses_tail_to_tail(self):
         g = MixedGraph(3, ((1, 0), (1, 2), (0, 2), (2, 0)))
         out = named_move(g, RationalAngle(1, 3), SW3, 1)
-        assert out.is_digon(0, 1) and out.is_digon(1, 2)
+        assert out.edge_sign(0, 1) == 0 and out.edge_sign(1, 2) == 0
 
     def test_moves_match_matrix_conjugation(self):
         # graph rewrite and diagonal conjugation must produce the same matrix
@@ -145,7 +145,9 @@ class TestNamedMoves:
         ]
         for g, move, x, delta in cases:
             rewritten = named_move(g, eta, move, x)
-            alpha = SwitchingFunction.identity(g.n_vertices, eta).bumped(x, delta)
+            exponents = [0] * g.n_vertices
+            exponents[x] = delta
+            alpha = SwitchingFunction(tuple(exponents), eta)
             assert np.max(np.abs(apply_switching(g, eta, alpha) - h_eta(rewritten, eta))) < 1e-14
 
     def test_move_requires_cycle(self):
@@ -278,12 +280,12 @@ class TestCanonicalize:
             n = int(rng.integers(3, 25))
             g = random_mixed_cycle(n, rng)
             result = canonicalize_cycle(g, eta)
-            alpha = SwitchingFunction.identity(n, eta)
+            exponents = [0] * n
             for move, x in result.moves:
                 g = named_move(g, eta, move, x)
-                alpha = alpha.bumped(x, -1 if move == SW3 else 1)
+                exponents[x] += -1 if move == SW3 else 1
             assert g.relabeled(result.relabeling) == build_cycle(n, result.type_j)
-            assert alpha.exponents == result.witness.exponents
+            assert tuple(exponents) == result.witness.exponents
 
     def test_reversed_canonical_reports_reflection(self):
         g = build_cycle(6, 2).reversed_arcs()
