@@ -10,7 +10,7 @@ from .graphs import (
     to_json_dict,
 )
 from .linalg import Spectrum
-from .periodicity import PeriodReport, brute_force_period, cycle_period, path_period, period_of
+from .periodicity import PeriodReport, brute_force_period, certify_period, cycle_period, path_period, period_of
 from .spectra import (
     ETA_GRID,
     RationalAngle,
@@ -42,6 +42,7 @@ __all__ = [
     "Spectrum",
     "PeriodReport",
     "brute_force_period",
+    "certify_period",
     "cycle_period",
     "path_period",
     "period_of",

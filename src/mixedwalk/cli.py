@@ -130,7 +130,7 @@ def _complex_json(z: complex) -> list[float]:
 
 
 def _matrix_json(m: np.ndarray) -> list:
-    return [[_complex_json(z) for z in row] for row in np.asarray(m)]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _emit(payload, fmt: str) -> None:

@@ -6,8 +6,10 @@ every angle with period 2(n-1).  Cycles are periodic exactly when the
 angle is a rational multiple of pi (an all-digon cycle is the one
 degenerate case that is periodic regardless, since its evolution never
 sees the angle), and the period follows from exact gcd arithmetic on the
-reduced fraction.  Whenever a closed form fires at desk scale it is
-cross-checked by powering.
+reduced fraction.  Whenever a closed form fires at desk scale,
+``certify_period`` confirms it by repeated squaring: U^tau = I and
+U^(tau/r) != I for each prime r dividing tau.  The scan of every power,
+``brute_force_period``, stays the route that discovers periods.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ class PeriodReport:
 
     ``residual`` is the identity distance at the reported period (None when
     no powering was run); ``cross_check`` records whether an independent
-    second route confirmed the period.
+    second route confirmed the period.  For a closed form, ``cap_used`` is
+    the exponent at which a return is guaranteed (the period 2(n-1) for
+    paths, 2qn for cycles), certified or not; ``certify_period`` itself
+    forms no power above the period.
     """
 
     periodic: bool
@@ -81,14 +86,9 @@ def brute_force_period(
     below it while it runs, and a power whose diagonal alone is at least as
     far is neither the period nor a closer approach.
     """
-    u = linalg.as_matrix(u)
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    defect = linalg.unitary_defect(u)
-    if defect > linalg.UNITARY_TOL:
-        raise ContractViolationError(
-            f"matrix is not unitary (defect {defect:.3e})"
-        )
+    u = _unitary(u)
     step = step or (lambda acc: acc @ u)
     acc = np.eye(u.shape[0], dtype=complex)
     best = math.inf
@@ -103,6 +103,51 @@ def brute_force_period(
         if dist < linalg.IDENTITY_TOL:
             return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
     return PeriodReport(False, None, METHOD_BRUTE, cap, NOT_RUN, float(best))
+
+
+def certify_period(u, tau: int) -> tuple[bool, float]:
+    """Whether ``tau`` is exactly the period of a unitary, and the identity
+    distance of u^tau.
+
+    It is when u^tau lies below ``linalg.IDENTITY_TOL`` and u^(tau/r) at or
+    above it for every prime r dividing tau: the exponents that return to
+    I are the multiples of the period, and a proper divisor of tau divides
+    some tau/r.  Each power comes from ``np.linalg.matrix_power`` (repeated
+    squaring), and u^tau = (u^(tau/r))^r for the smallest such r, so at
+    most about 2 log2(tau) products per prime and no projection.  A power
+    that is not a multiple of a period p lies at least 2 sin(pi/p)/m from
+    I on m arcs, so at desk scale the verdict is the full scan's.
+    """
+    if tau < 1:
+        raise DomainError(f"tau must be >= 1, got {tau}")
+    u = _unitary(u)
+    primes = _prime_divisors(tau)
+    roots = [np.linalg.matrix_power(u, tau // r) for r in primes]
+    power = np.linalg.matrix_power(roots[0], primes[0]) if primes else u
+    residual = linalg.distance_to_identity(power)
+    agrees = residual < linalg.IDENTITY_TOL and all(
+        linalg.distance_to_identity(root, floor=linalg.IDENTITY_TOL) >= linalg.IDENTITY_TOL for root in roots
+    )
+    return agrees, residual
+
+
+def _unitary(u) -> np.ndarray:
+    u = linalg.as_matrix(u)
+    defect = linalg.unitary_defect(u)
+    if defect > linalg.UNITARY_TOL:
+        raise ContractViolationError(f"matrix is not unitary (defect {defect:.3e})")
+    return u
+
+
+def _prime_divisors(t: int) -> list[int]:
+    primes, r = [], 2
+    while r * r <= t:
+        if t % r == 0:
+            primes.append(r)
+            while t % r == 0:
+                t //= r
+        r += 1
+    return primes + [t] * (t > 1)
 
 
 def path_period(n: int) -> int:
@@ -158,19 +203,19 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
     Paths use the closed form for any angle; cycles use the gcd formula
     when the angle is rational and fall back to powering otherwise (a
     float angle can never certify rationality).  Unknown shapes go
-    straight to powering.  Closed-form answers are cross-checked by
-    powering whenever the arc space has at most 32 dimensions and the
-    predicted period fits under the powering budget.
+    straight to powering.  Closed-form answers are certified by
+    ``certify_period`` whenever the arc space has at most 32 dimensions and
+    the predicted period fits under the powering budget.
     """
     if graph.is_path_graph():
         tau = path_period(graph.n_vertices)
-        # The powering cap is the period itself; hitting it proves minimality.
+        # The guaranteed return exponent is the period itself.
         return _closed_form_report(graph, eta, tau, METHOD_PATH, tau)
 
     if graph.is_cycle_graph() and isinstance(eta, RationalAngle):
         j = classify_cycle(graph)
         tau = cycle_period(graph.n_vertices, j, eta)
-        # The powering cap is the guaranteed return exponent 2qn.
+        # The guaranteed return exponent is 2qn.
         guaranteed = 2 * eta.q * graph.n_vertices
         return _closed_form_report(graph, eta, tau, METHOD_CYCLE, guaranteed)
 
@@ -181,14 +226,5 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
 def _closed_form_report(graph: MixedGraph, eta: Angle, tau: int, method: str, cap: int) -> PeriodReport:
     if 2 * len(graph.edges) > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
         return PeriodReport(True, tau, method, cap, NOT_RUN, None)
-    ops = time_evolution(graph, eta)
-    brute = brute_force_period(ops.evolution, max(cap, tau), step=ops.power_step)
-    agrees = brute.periodic and brute.period == tau
-    return PeriodReport(
-        periodic=True,
-        period=tau,
-        method=method,
-        cap_used=brute.cap_used,
-        cross_check=AGREE if agrees else DISAGREE,
-        residual=brute.residual,
-    )
+    agrees, residual = certify_period(time_evolution(graph, eta).evolution, tau)
+    return PeriodReport(True, tau, method, max(cap, tau), AGREE if agrees else DISAGREE, residual)

@@ -201,9 +201,9 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
     if not graph.is_cycle_graph():
         raise DomainError("canonicalization needs a mixed cycle")
     n = graph.n_vertices
-    j_expected = classify_cycle(graph)
     order = graph.cycle_order()
     signs = _signs_in_order(graph, order)
+    j_expected = abs(sum(signs))  # classify_cycle's net gain, read before any move
     exponents = [0] * n
     moves: list[tuple[str, int]] = []
     cap = n * n

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mixedwalk
-from mixedwalk import cli, graphs, linalg
+from mixedwalk import cli, graphs, linalg, periodicity
 from mixedwalk.cli import main, parse_eta, parse_graph
 from mixedwalk.errors import UsageError
 from mixedwalk.graphs import (
@@ -21,6 +21,14 @@ from mixedwalk.graphs import (
     to_json_dict,
 )
 from mixedwalk.spectra import RationalAngle
+from mixedwalk.walk import time_evolution
+
+
+def scan_residual(graph, eta, cap):
+    """Residual of the full powering scan, the route a certified closed form
+    replaced, on the same input."""
+    ops = time_evolution(graph, eta)
+    return periodicity.brute_force_period(ops.evolution, cap, step=ops.power_step).residual
 
 
 class TestParseEta:
@@ -141,10 +149,13 @@ class TestCommands:
             '"cross_check": "not_run", "residual": 0.6507114002339558, "rational_angle_hint": null}\n'
         )
         assert main(["period", "--graph", "cycle:n=5,j=2", "--eta", "pi*1/3"]) == 0
-        assert capsys.readouterr().out == (
+        out = capsys.readouterr().out
+        # the residual was re-recorded when certify_period took over from the scan
+        assert out == (
             '{"periodic": true, "period": 15, "method": "closed_form_cycle", "cap_used": 30, '
-            '"cross_check": "agree", "residual": 3.6489874298927905e-15}\n'
+            '"cross_check": "agree", "residual": 3.8778423131653425e-15}\n'
         )
+        assert abs(json.loads(out)["residual"] - scan_residual(build_cycle(5, 2), RationalAngle(1, 3), 30)) < 1e-14
         # recorded while time_evolution still built every operator eagerly
         assert main(["walk", "--graph", "path:n=3,orient=fd", "--eta", "pi*1/3",
                      "--operators", "U,K,C,S"]) == 0
@@ -183,9 +194,10 @@ class TestCommands:
          "610a9967d79ad264df978043f0edc886d236bf2a6c60424eec3bf47e3e807b64"),
     ]
     PINNED_PERIODS = [
+        # the closed form's residual was re-recorded when certify_period took over from the scan
         (["period", "cycle", "pi*1/4"],
          '{"periodic": true, "period": 6, "method": "closed_form_cycle", "cap_used": 48, '
-         '"cross_check": "agree", "residual": 1.1102230246251565e-15}\n'),
+         '"cross_check": "agree", "residual": 9.992007221626409e-16}\n'),
         (["period", "chorded", "0.7", "--cap", "40"],
          '{"periodic": false, "period": null, "method": "brute_force", "cap_used": 40, '
          '"cross_check": "not_run", "residual": 0.6823509249139474, "rational_angle_hint": null}\n'),
@@ -207,6 +219,9 @@ class TestCommands:
             assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest), argv
         for argv, want in self.PINNED_PERIODS:
             assert run(*argv) == want, argv
+        certified = json.loads(self.PINNED_PERIODS[0][1])["residual"]
+        cycle = from_json_dict(self.PINNED_GRAPHS["cycle"])
+        assert abs(certified - scan_residual(cycle, RationalAngle(1, 4), 48)) < 1e-14
 
     def test_period_irrational(self, capsys):
         code = main(["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "500"])
@@ -243,14 +258,31 @@ class TestCommands:
         assert "S" in payload and "K" not in payload
         assert len(payload["arc_order"]) == 6
 
-    def test_sweep_rows_agree(self, capsys):
+    def test_sweep_rows_agree(self, monkeypatch, capsys):
+        scan = periodicity.brute_force_period
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return scan(*args, **kwargs)
+
+        # the sweep compares the formula with the full scan, not with the certificate
+        monkeypatch.setattr(periodicity, "brute_force_period", counted)
         code = main(["sweep", "--n-min", "3", "--n-max", "4", "--angles", "1/2,2/3"])
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0
         assert out[0] == "n,j,p,q,tau_formula,tau_brute,agree"
         rows = [line.split(",") for line in out[1:]]
-        assert len(rows) == (4 + 5) * 2
+        assert len(rows) == (4 + 5) * 2 == len(calls)
         assert all(row[-1] == "true" for row in rows)
+
+    def test_period_exits_two_when_the_certificate_refutes_the_formula(self, monkeypatch, capsys):
+        formula = periodicity.cycle_period
+        for wrong, period in ((lambda tau: 2 * tau, 30), (lambda tau: tau // 3, 5), (lambda tau: tau // 5, 3)):
+            monkeypatch.setattr(periodicity, "cycle_period", lambda n, j, eta: wrong(formula(n, j, eta)))
+            assert main(["period", "--graph", "cycle:n=5,j=2", "--eta", "pi*1/3"]) == 2
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["period"], payload["cross_check"]) == (period, "disagree")
 
     def test_sweep_above_the_work_bound_exits_one_before_powering(self, monkeypatch, capsys):
         def refuse(*args):

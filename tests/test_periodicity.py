@@ -20,14 +20,22 @@ from mixedwalk.periodicity import (
     NOT_RUN,
     PeriodReport,
     brute_force_period,
+    certify_period,
     cycle_period,
+    cycle_period_by_powering,
     detect_rational_angle,
     path_period,
     period_of,
 )
 from mixedwalk.spectra import ETA_GRID, RationalAngle, angle_radians
 from mixedwalk.switching import classify_cycle
+from mixedwalk.verify import PERIOD_ANGLE_PAIRS
 from mixedwalk.walk import STRUCTURED_STEP_MIN_ARCS, time_evolution
+
+# PERIOD_ANGLE_PAIRS and the angles with q <= 7 of the benchmark's closed-form periods
+CERTIFY_ANGLES = sorted(set(PERIOD_ANGLE_PAIRS) | {
+    (1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (1, 6), (5, 6), (1, 7), (3, 7),
+})
 
 
 class TestBruteForce:
@@ -178,6 +186,67 @@ class TestScreenedIdentityDistance:
         got = brute_force_period(u, 5)
         assert (got.periodic, got.period, got.residual) == (True, 1, 0.0)
         assert_same_report(got, unscreened_period(u, 5))
+
+
+def prime_divisors(t):
+    return [r for r in range(2, t + 1) if t % r == 0 and all(r % s for s in range(2, r))]
+
+
+class TestCertifyPeriod:
+    def assert_matches_the_scan(self, u, tau, scan):
+        agrees, residual = certify_period(u, tau)
+        assert agrees == (scan.periodic and scan.period == tau)
+        assert agrees, tau
+        assert abs(residual - scan.residual) < 1e-12
+        # wrong candidates: a proper divisor, a multiple, a neighbour
+        for wrong in [tau // r for r in prime_divisors(tau)] + [2 * tau, tau + 1]:
+            assert not certify_period(u, wrong)[0], (tau, wrong)
+
+    def test_agrees_with_the_scan_on_every_path(self):
+        rng = np.random.default_rng(13)
+        for n in range(2, 17):
+            g = random_mixed_path(n, rng)
+            for p, q in CERTIFY_ANGLES:
+                ops = time_evolution(g, RationalAngle(p, q))
+                tau = path_period(n)
+                self.assert_matches_the_scan(ops.evolution, tau, brute_force_period(ops.evolution, tau))
+
+    def test_agrees_with_the_scan_on_every_cycle_type(self):
+        for n in range(3, 17):
+            for j in range(n + 1):
+                for p, q in CERTIFY_ANGLES:
+                    eta = RationalAngle(p, q)
+                    tau, scan = cycle_period_by_powering(n, j, eta)
+                    self.assert_matches_the_scan(time_evolution(build_cycle(n, j), eta).evolution, tau, scan)
+
+    def test_period_one_and_the_identity(self):
+        assert certify_period(np.eye(3, dtype=complex), 1) == (True, 0.0)
+        assert not certify_period(np.eye(3, dtype=complex), 2)[0]
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert certify_period(swap, 2)[0] and not certify_period(swap, 1)[0]
+
+    def test_rejects_non_unitary_and_bad_tau(self):
+        with pytest.raises(ContractViolationError):
+            certify_period(np.array([[1, 1], [0, 1]], dtype=complex), 2)
+        with pytest.raises(DomainError):
+            certify_period(np.eye(2, dtype=complex), 0)
+
+    def test_closed_forms_are_certified_and_the_scan_stays_for_discovery(self, monkeypatch):
+        scan = periodicity.brute_force_period
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(periodicity, "brute_force_period", counted)
+        assert period_of(build_cycle(5, 2), RationalAngle(1, 3)).cross_check == AGREE
+        assert period_of(build_path(6, ["forward"] * 5), 0.4).cross_check == AGREE
+        assert calls == []
+        tau, rep = cycle_period_by_powering(5, 2, RationalAngle(1, 3))
+        assert (tau, rep.period, len(calls)) == (15, 15, 1)
+        assert not period_of(build_cycle(4, 1), 1.0).periodic  # no closed form at a decimal angle
+        assert len(calls) == 2
 
 
 class TestClosedForms:

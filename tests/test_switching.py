@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixedwalk import linalg
+from mixedwalk import linalg, switching
 from mixedwalk.errors import (
     DomainError,
     MoveNotApplicableError,
@@ -286,6 +286,21 @@ class TestCanonicalize:
                 exponents[x] += -1 if move == SW3 else 1
             assert g.relabeled(result.relabeling) == build_cycle(n, result.type_j)
             assert tuple(exponents) == result.witness.exponents
+
+    def test_reads_the_cycle_once(self, monkeypatch):
+        read = switching._signs_in_order
+        calls = []
+
+        def counted(graph, order):
+            calls.append(1)
+            return read(graph, order)
+
+        monkeypatch.setattr(switching, "_signs_in_order", counted)
+        rng = np.random.default_rng(69)
+        for k in range(1, 41):
+            g = random_mixed_cycle(int(rng.integers(3, 20)), rng)
+            assert canonicalize_cycle(g, RationalAngle(1, 3)).type_j == abs(sum(read(g, g.cycle_order())))
+            assert len(calls) == k
 
     def test_reversed_canonical_reports_reflection(self):
         g = build_cycle(6, 2).reversed_arcs()
