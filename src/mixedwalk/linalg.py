@@ -149,7 +149,7 @@ def hermitian_eigenvalues(m) -> Spectrum:
     return Spectrum.from_values(eigs, tol=EIGENVALUE_GROUP_TOL)
 
 
-def distance_to_identity(m, floor: float = math.inf) -> float:
+def distance_to_identity(m, floor: float = math.inf):
     """Max entrywise |M - I|, formed as |M| with its diagonal replaced by
     |diag M - 1| (the same values, without an identity or a difference).
 
@@ -157,26 +157,53 @@ def distance_to_identity(m, floor: float = math.inf) -> float:
     is at least ``floor``, g is returned as it is, a lower bound on the
     distance that is itself at least ``floor``.  Otherwise the exact
     distance is returned.  A search that only needs distances below a
-    running minimum passes that minimum and skips the O(n^2) pass.
+    running minimum passes that minimum and skips the O(n^2) pass.  On a
+    stack ``(..., n, n)`` the result has shape ``(...)``, each entry
+    bit-identical to its slice's own call.
     """
-    m = as_matrix(m)
-    n = _require_square(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    n = m.shape[-1]
     if n == 0:
-        return 0.0
-    diagonal_gaps = np.abs(m.diagonal() - 1.0)
-    g = float(diagonal_gaps.max())
-    if g >= floor:
-        return g
-    gaps = np.abs(m)
-    np.fill_diagonal(gaps, diagonal_gaps)
-    return float(gaps.max())
+        return np.zeros(m.shape[:-2]) if m.ndim > 2 else 0.0
+    diagonal_gaps = np.abs(m.diagonal(0, -2, -1) - 1.0)
+    dist = diagonal_gaps.max(-1)
+    if m.ndim == 2:  # one matrix: screened with scalars
+        if dist >= floor:
+            return float(dist)
+        gaps = np.abs(m)
+        np.fill_diagonal(gaps, diagonal_gaps)
+        return float(gaps.max())
+    close = dist < floor
+    if close.any():
+        close = Ellipsis if close.all() else close  # no gathered copy when every slice is close
+        gaps = np.abs(m[close])
+        gaps.reshape(-1, n * n)[:, :: n + 1] = diagonal_gaps[close]
+        dist[close] = gaps.max((-2, -1))
+    return dist
 
 
 def unitary_defect(m) -> float:
     m = as_matrix(m)
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0], dtype=complex))))
+    product = m @ m.conj().T
+    product.reshape(-1)[:: len(m) + 1] -= 1.0  # M M* - I, in place on the diagonal
+    return float(np.max(np.abs(product)))
+
+
+def power_stack(u, count: int) -> np.ndarray:
+    """U^1 .. U^count as a ``(count, n, n)`` stack, by doubling: U^(k+1) ..
+    U^2k are U^k @ U^1 .. U^k, one batched product per doubling."""
+    u = as_matrix(u)
+    powers = np.empty((count, _require_square(u), len(u)), dtype=complex)
+    powers[0] = u
+    k = 1
+    while k < count:
+        np.matmul(powers[k - 1], powers[: min(k, count - k)], out=powers[k : 2 * k])
+        k *= 2
+    return powers
 
 
 def project_to_unitary(m) -> np.ndarray:

@@ -9,7 +9,8 @@ sees the angle), and the period follows from exact gcd arithmetic on the
 reduced fraction.  Whenever a closed form fires at desk scale,
 ``certify_period`` confirms it by repeated squaring: U^tau = I and
 U^(tau/r) != I for each prime r dividing tau.  The scan of every power,
-``brute_force_period``, stays the route that discovers periods.
+``brute_force_period``, stays the route that discovers periods; on small
+walks it forms up to 64 powers with each batched product.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ from .errors import ContractViolationError, DomainError
 from .graphs import MixedGraph, build_cycle
 from .spectra import Angle, RationalAngle, angle_radians
 from .switching import classify_cycle
-from .walk import time_evolution
+from .walk import STRUCTURED_STEP_MIN_ARCS, WalkOperators, time_evolution
 from . import linalg
 
 DEFAULT_CAP = 10_000
 CROSS_CHECK_MAX_ARCS = 32
+# Bytes of one block of powers in ``brute_force_period``'s blocked scan:
+# it bounds the block's memory and how far a scan runs past a short period.
+BLOCK_BYTES = 1 << 18
 # ``detect_rational_angle`` tries denominators up to this bound and accepts
 # a match to within this many radians.
 RATIONAL_HINT_MAX_Q = 64
@@ -71,37 +75,53 @@ def brute_force_period(
 ) -> PeriodReport:
     """Smallest power (up to ``cap``) bringing a unitary back to the identity.
 
-    Every exponent is checked, so a reported period is minimal.  The
-    accumulated product is projected back onto the unitary group every
-    ``linalg.RENORMALIZE_EVERY`` steps to keep long searches below the drift
-    budget, except at ``cap``, where no later product reads it.  ``step``
-    maps each power of ``u`` to the next (``acc @ u`` by default); walks
-    pass ``WalkOperators.power_step``.  A step may hold the powers in any
-    fixed basis permutation P, as P u^tau P^T, starting from I: the identity
-    distance and the projection do not depend on it.
+    Every exponent is checked, so a reported period is minimal.  Powers come
+    in blocks of B, the largest power of two at most 64, ``cap`` and
+    ``BLOCK_BYTES`` / 16m^2: u^1 .. u^B is formed once by doubling
+    (``linalg.power_stack``), then each block is acc @ u^1 .. u^B, one
+    batched product, with acc the power before it.  The power at each
+    multiple of ``linalg.RENORMALIZE_EVERY`` (a multiple of B) is projected
+    back onto the unitary group, except at ``cap``, where no later product
+    reads it.  Block order moves distances only in their last digits; at
+    B = 1 the scan is the per-step one, bit for bit.  A ``step`` maps each
+    power of ``u`` to the next, one power a block (walks pass
+    ``WalkOperators.power_step`` from ``walk.STRUCTURED_STEP_MIN_ARCS`` arcs
+    on); it may hold the powers in a fixed basis permutation P, as
+    P u^tau P^T from I, on which neither distance nor projection depends.
 
-    Each power's distance to the identity is screened by its diagonal
-    against the closest approach so far.  The search returns as soon as a
-    distance falls below ``linalg.IDENTITY_TOL``, so that approach is never
-    below it while it runs, and a power whose diagonal alone is at least as
-    far is neither the period nor a closer approach.
+    A block's distances are screened by their diagonals against the closest
+    approach before it.  The search returns at the first distance below
+    ``linalg.IDENTITY_TOL``, so that approach is never below it while it
+    runs, and a power whose diagonal alone is at least as far is neither the
+    period nor a closer approach.
     """
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     u = _unitary(u)
-    step = step or (lambda acc: acc @ u)
+    size = 1 if step else max(1, min(64, cap, BLOCK_BYTES // max(16 * u.size, 1)))
+    size = 1 << (size.bit_length() - 1)
+    powers = None if step else linalg.power_stack(u, size)
     acc = np.eye(u.shape[0], dtype=complex)
     best = math.inf
-    for tau in range(1, cap + 1):
-        acc = step(acc)
-        if tau % linalg.RENORMALIZE_EVERY == 0 and tau < cap:
-            acc = linalg.project_to_unitary(acc)
-        # the screen stays inside distance_to_identity, so every power still
-        # makes exactly one call: traces count those calls as powering steps
-        dist = linalg.distance_to_identity(acc, floor=best)
-        best = min(best, dist)
-        if dist < linalg.IDENTITY_TOL:
-            return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
+    for done in range(0, cap, size):
+        count = min(size, cap - done)
+        if step:
+            block = step(acc)[None]
+        else:  # I @ u^k is u^k: the first block is the stack itself
+            block = acc @ powers[:count] if done else powers[:count]
+        if (done + count) % linalg.RENORMALIZE_EVERY == 0 and done + count < cap:
+            # into a new array: neither the stack nor a step's result is written to
+            block = np.concatenate((block[:-1], linalg.project_to_unitary(block[-1])[None]))
+        acc = block[-1]
+        # one screened call per block; a block of one takes the cheaper scalar call
+        if count == 1:
+            dists = [linalg.distance_to_identity(block[0], floor=best)]
+        else:
+            dists = linalg.distance_to_identity(block, floor=best).tolist()
+        for tau, dist in enumerate(dists, done + 1):
+            best = min(best, dist)
+            if dist < linalg.IDENTITY_TOL:
+                return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
     return PeriodReport(False, None, METHOD_BRUTE, cap, NOT_RUN, float(best))
 
 
@@ -182,8 +202,7 @@ def cycle_period_by_powering(n: int, j: int, eta: RationalAngle) -> tuple[int, P
 
     The two routes share nothing; callers compare them."""
     tau = cycle_period(n, j, eta)
-    ops = time_evolution(build_cycle(n, j), eta)
-    return tau, brute_force_period(ops.evolution, 2 * eta.q * n, step=ops.power_step)
+    return tau, _walk_period(time_evolution(build_cycle(n, j), eta), 2 * eta.q * n)
 
 
 def detect_rational_angle(radians: float) -> Optional[RationalAngle]:
@@ -219,8 +238,13 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
         guaranteed = 2 * eta.q * graph.n_vertices
         return _closed_form_report(graph, eta, tau, METHOD_CYCLE, guaranteed)
 
-    ops = time_evolution(graph, eta)
-    return brute_force_period(ops.evolution, cap, step=ops.power_step)
+    return _walk_period(time_evolution(graph, eta), cap)
+
+
+def _walk_period(ops: WalkOperators, cap: int) -> PeriodReport:
+    # below the structured step's crossover its step is the matmul the blocks batch
+    step = ops.power_step if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else None
+    return brute_force_period(ops.evolution, cap, step=step)
 
 
 def _closed_form_report(graph: MixedGraph, eta: Angle, tau: int, method: str, cap: int) -> PeriodReport:

@@ -254,13 +254,18 @@ def spectral_map_check(graph: MixedGraph, eta: Angle) -> SpectralMapReport:
             predicted.extend([complex(np.exp(1j * phi)), complex(np.exp(-1j * phi))])
     spectrum = linalg.Spectrum.from_values(predicted, tol=1e-9)
 
-    residuals = []
-    # reading U runs the size guard and the gate before the m x m accumulator
-    acc = np.eye(len(ops.evolution), dtype=complex)
-    for k in range(1, TRACE_MOMENTS + 1):
-        acc = ops.power_step(acc)
-        moment = sum(mult * value**k for value, mult in spectrum.pairs)
-        residuals.append(float(abs(np.trace(acc) - moment)))
+    # reading U runs the size guard and the gate before any power is formed
+    if n_arcs < STRUCTURED_STEP_MIN_ARCS:
+        traces = np.trace(linalg.power_stack(ops.evolution, TRACE_MOMENTS), axis1=1, axis2=2)
+    else:
+        acc = np.eye(len(ops.evolution), dtype=complex)
+        traces = []
+        for _ in range(TRACE_MOMENTS):
+            acc = ops.power_step(acc)
+            traces.append(np.trace(acc))
+    values, mults = np.array(spectrum.pairs).T
+    moments = (mults * values ** np.arange(1, TRACE_MOMENTS + 1)[:, None]).sum(axis=1)
+    residuals = [float(r) for r in np.abs(np.asarray(traces) - moments)]
     return SpectralMapReport(
         predicted=spectrum,
         m_plus_1=m_plus,

@@ -25,8 +25,9 @@ from mixedwalk.walk import time_evolution
 
 
 def scan_residual(graph, eta, cap):
-    """Residual of the full powering scan, the route a certified closed form
-    replaced, on the same input."""
+    """Residual of the per-step powering scan on the same input: the route a
+    certified closed form replaced, and the scan that blocked powering
+    replaced below the structured step's crossover."""
     ops = time_evolution(graph, eta)
     return periodicity.brute_force_period(ops.evolution, cap, step=ops.power_step).residual
 
@@ -144,10 +145,13 @@ class TestCommands:
         path = tmp_path / "g.json"
         path.write_text(json.dumps(graph))
         assert main(["period", "--graph", str(path), "--eta", "0.9", "--cap", "64"]) == 0
-        assert capsys.readouterr().out == (
+        out = capsys.readouterr().out
+        # the residual was re-recorded when powers below the crossover came in blocks
+        assert out == (
             '{"periodic": false, "period": null, "method": "brute_force", "cap_used": 64, '
-            '"cross_check": "not_run", "residual": 0.6507114002339558, "rational_angle_hint": null}\n'
+            '"cross_check": "not_run", "residual": 0.6507114002339556, "rational_angle_hint": null}\n'
         )
+        assert abs(json.loads(out)["residual"] - scan_residual(from_json_dict(graph), 0.9, 64)) < 1e-12
         assert main(["period", "--graph", "cycle:n=5,j=2", "--eta", "pi*1/3"]) == 0
         out = capsys.readouterr().out
         # the residual was re-recorded when certify_period took over from the scan
@@ -193,17 +197,18 @@ class TestCommands:
         (["walk", "star", "0.9", "--operators", "U,K,C,S"], 2375,
          "610a9967d79ad264df978043f0edc886d236bf2a6c60424eec3bf47e3e807b64"),
     ]
+    # the closed form's residual was re-recorded when certify_period took over
+    # from the scan, the brute-force ones when powers came in blocks
     PINNED_PERIODS = [
-        # the closed form's residual was re-recorded when certify_period took over from the scan
         (["period", "cycle", "pi*1/4"],
          '{"periodic": true, "period": 6, "method": "closed_form_cycle", "cap_used": 48, '
          '"cross_check": "agree", "residual": 9.992007221626409e-16}\n'),
         (["period", "chorded", "0.7", "--cap", "40"],
          '{"periodic": false, "period": null, "method": "brute_force", "cap_used": 40, '
-         '"cross_check": "not_run", "residual": 0.6823509249139474, "rational_angle_hint": null}\n'),
+         '"cross_check": "not_run", "residual": 0.6823509249139473, "rational_angle_hint": null}\n'),
         (["period", "star", "pi*1/3", "--cap", "30"],
          '{"periodic": true, "period": 4, "method": "brute_force", "cap_used": 30, '
-         '"cross_check": "not_run", "residual": 4.3723665266107425e-16}\n'),
+         '"cross_check": "not_run", "residual": 3.885780586188048e-16}\n'),
     ]
 
     def test_outputs_on_fixed_json_graphs_are_pinned(self, capsys, tmp_path):
@@ -222,6 +227,10 @@ class TestCommands:
         certified = json.loads(self.PINNED_PERIODS[0][1])["residual"]
         cycle = from_json_dict(self.PINNED_GRAPHS["cycle"])
         assert abs(certified - scan_residual(cycle, RationalAngle(1, 4), 48)) < 1e-14
+        for (_, name, eta, _, cap), want in self.PINNED_PERIODS[1:]:
+            blocked = json.loads(want)["residual"]
+            angle = parse_eta(eta)
+            assert abs(blocked - scan_residual(from_json_dict(self.PINNED_GRAPHS[name]), angle, int(cap))) < 1e-12
 
     def test_period_irrational(self, capsys):
         code = main(["period", "--graph", "cycle:n=4,j=1", "--eta", "1.0", "--cap", "500"])

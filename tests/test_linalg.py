@@ -241,6 +241,52 @@ def test_screened_distance_is_exact_below_the_floor_and_bounded_above_it():
     assert linalg.distance_to_identity(np.zeros((0, 0)), floor=0.0) == 0.0
 
 
+def test_stacked_distances_match_their_slices_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 8):
+        slices = [random_complex(rng, n), np.eye(n, dtype=complex), -np.eye(n, dtype=complex)]
+        slices += [np.eye(n, dtype=complex) + scale * random_complex(rng, n) for scale in (1e-9, 1e-3, 0.5)]
+        stack = np.array(slices)
+        exact = [linalg.distance_to_identity(m) for m in slices]
+        for floor in [math.inf, 0.0, 1e-6, 0.3] + exact:
+            want = [linalg.distance_to_identity(m, floor=floor) for m in slices]
+            got = linalg.distance_to_identity(stack, floor=floor)
+            assert got.shape == (len(slices),)
+            assert [repr(float(v)) for v in got] == [repr(v) for v in want], (n, floor)
+        # any batch shape
+        grid = linalg.distance_to_identity(stack[:4].reshape(2, 2, n, n), floor=0.3)
+        assert grid.tolist() == [[linalg.distance_to_identity(m, floor=0.3) for m in pair] for pair in (slices[:2], slices[2:4])]
+    assert linalg.distance_to_identity(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
+        with pytest.raises(DimensionError):
+            linalg.distance_to_identity(bad)
+
+
+def test_power_stack_is_the_successive_powers():
+    rng = np.random.default_rng(15)
+    q, _ = np.linalg.qr(random_complex(rng, 6))
+    for count in (1, 2, 3, 10, 64):
+        stack = linalg.power_stack(q, count)
+        assert stack.shape == (count, 6, 6)
+        acc = np.eye(6, dtype=complex)
+        for k in range(count):
+            acc = acc @ q
+            assert np.max(np.abs(stack[k] - acc)) < 1e-12, (count, k)
+    assert np.array_equal(linalg.power_stack(q, 1)[0], q)
+    assert linalg.power_stack(np.zeros((0, 0)), 4).shape == (4, 0, 0)
+
+
+def test_unitary_defect_is_the_difference_formula_bit_for_bit():
+    rng = np.random.default_rng(16)
+    cases = [np.linalg.qr(random_complex(rng, n))[0] for n in (1, 2, 5, 16, 33)]
+    cases += [q + scale * random_complex(rng, len(q)) for q in cases for scale in (1e-12, 1e-9, 1e-3)]
+    cases += [random_complex(rng, 4), np.zeros((3, 3), dtype=complex), random_complex(rng, 3)[:2]]
+    for m in cases:
+        formula = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0], dtype=complex))))
+        assert repr(linalg.unitary_defect(m)) == repr(formula)
+    assert linalg.unitary_defect(np.zeros((0, 0))) == 0.0
+
+
 def test_determinant_equals_eigenvalue_product_for_hermitian():
     rng = np.random.default_rng(7)
     for n in (2, 5, 10):

@@ -101,7 +101,10 @@ class TestStructuredPowering:
             calls.append(1)
             return acc @ ops.evolution
 
-        assert brute_force_period(ops.evolution, 30, step=step) == brute_force_period(ops.evolution, 30)
+        # a step makes the scan take one power at a time, as the walk's own step does
+        assert brute_force_period(ops.evolution, 30, step=step) == brute_force_period(
+            ops.evolution, 30, step=ops.power_step
+        )
         assert len(calls) == 15
 
     def test_no_projection_at_the_cap(self, monkeypatch):
@@ -114,23 +117,152 @@ class TestStructuredPowering:
             return project(m)
 
         monkeypatch.setattr(linalg, "project_to_unitary", counted)
-        for cap, projections in ((64, 0), (65, 1), (128, 1)):
-            calls.clear()
-            assert not brute_force_period(ops.evolution, cap, step=ops.power_step).periodic
-            assert len(calls) == projections, cap
+        for step in (ops.power_step, None):  # one power at a time, and in blocks
+            for cap, projections in ((64, 0), (65, 1), (128, 1)):
+                calls.clear()
+                assert not brute_force_period(ops.evolution, cap, step=step).periodic
+                assert len(calls) == projections, (cap, step)
+
+
+class TestBlockedScan:
+    """Below ``STRUCTURED_STEP_MIN_ARCS`` arcs the scan forms its powers in
+    blocks; it must answer as the per-step scan does."""
+
+    def assert_matches_the_per_step_scan(self, u, cap):
+        blocked = brute_force_period(u, cap)
+        per_step = brute_force_period(u, cap, step=lambda acc: acc @ u)
+        assert (blocked.periodic, blocked.period, blocked.cap_used) == (per_step.periodic, per_step.period, cap)
+        assert (blocked.method, blocked.cross_check) == (METHOD_BRUTE, NOT_RUN)
+        assert abs(blocked.residual - per_step.residual) < 1e-12, (blocked, per_step)
+        return blocked
+
+    def test_every_cycle_type_at_the_verify_angles(self):
+        for n in range(3, 17):
+            for j in range(n + 1):
+                for p, q in PERIOD_ANGLE_PAIRS:
+                    eta = RationalAngle(p, q)
+                    rep = self.assert_matches_the_per_step_scan(
+                        time_evolution(build_cycle(n, j), eta).evolution, 2 * q * n
+                    )
+                    assert rep.period == cycle_period(n, j, eta)
+
+    def test_random_graphs_at_decimal_angles(self):
+        rng = np.random.default_rng(41)
+        arcs = []
+        while len(arcs) < 20:
+            g = random_mixed_graph(int(rng.integers(4, 16)), rng, 0.3)
+            ops = time_evolution(g, float(rng.uniform(0.2, 3.0)))
+            if 8 <= len(ops.arc_index) <= 70:
+                arcs.append(len(ops.arc_index))
+                self.assert_matches_the_per_step_scan(ops.evolution, 200)
+        assert min(arcs) < 20 and max(arcs) > 50, arcs
+
+    def test_identity_empty_matrix_and_permutations(self):
+        assert astuple(self.assert_matches_the_per_step_scan(np.eye(3, dtype=complex), 10))[:2] == (True, 1)
+        empty = brute_force_period(np.zeros((0, 0), dtype=complex), 5)
+        assert (empty.periodic, empty.period, empty.residual) == (True, 1, 0.0)
+        cycle = np.eye(5, dtype=complex)[[1, 2, 3, 4, 0]]
+        assert self.assert_matches_the_per_step_scan(cycle, 20).period == 5
+        c, s = math.cos(0.01), math.sin(0.01)
+        rotation = np.eye(4, dtype=complex)
+        rotation[:2, :2] = [[c, -s], [s, c]]
+        rotation[2:, 2:] = [[0, 1], [1, 0]]
+        assert not self.assert_matches_the_per_step_scan(rotation, 300).periodic
+
+    def test_periods_on_block_edges(self):
+        # the type-1 square has period 8q at pi/q: 64, 72 and 136
+        for q in (8, 9, 17):
+            u = time_evolution(build_cycle(4, 1), RationalAngle(1, q)).evolution
+            for cap in (8 * q, 16 * q):
+                assert self.assert_matches_the_per_step_scan(u, cap).period == 8 * q
+
+    def test_caps_around_block_edges(self):
+        u = time_evolution(build_cycle(4, 1), 1.0).evolution
+        for cap in (1, 63, 64, 65, 129):
+            assert not self.assert_matches_the_per_step_scan(u, cap).periodic
+        # period 136 lies past every one of these caps
+        u = time_evolution(build_cycle(4, 1), RationalAngle(1, 17)).evolution
+        for cap in (1, 63, 64, 65, 129):
+            assert not self.assert_matches_the_per_step_scan(u, cap).periodic
+
+    def test_one_screen_per_block(self, monkeypatch):
+        screen = linalg.distance_to_identity
+        blocks = []
+
+        def counted(m, floor=math.inf):
+            blocks.append(len(m) if m.ndim == 3 else 1)  # a block of one is screened as a matrix
+            return screen(m, floor)
+
+        monkeypatch.setattr(linalg, "distance_to_identity", counted)
+        rng = np.random.default_rng(42)
+        # B is the largest power of two at most 64, the cap and BLOCK_BYTES / 16m^2
+        for m, cap, sizes in (
+            (8, 10_000, [64] * 156 + [16]),
+            (8, 65, [64, 1]),
+            (8, 30, [16, 14]),
+            (16, 200, [64, 64, 64, 8]),
+            (60, 64, [4] * 16),
+            (71, 64, [2] * 32),
+            (200, 3, [1] * 3),
+        ):
+            u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            blocks.clear()
+            assert not brute_force_period(u, cap).periodic
+            assert blocks == sizes, (m, cap)
+            assert all(size * 16 * m * m <= periodicity.BLOCK_BYTES for size in sizes if size > 1)
+
+    def test_a_block_of_one_is_the_per_step_scan_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        # at 200 x 200 one power holds more than half of BLOCK_BYTES
+        u, _ = np.linalg.qr(rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)))
+        assert_same_report(brute_force_period(u, 70), brute_force_period(u, 70, step=lambda acc: acc @ u))
+
+    def test_scans_from_the_crossover_on_are_unchanged(self):
+        # literals recorded while every power was taken one step at a time
+        g = random_mixed_graph(20, np.random.default_rng(5), 0.3)  # 128 arcs
+        assert period_of(g, 0.9, 130).residual == 0.3543380460514647
+        assert period_of(build_cycle(40, 3), 0.9, 200).residual == 0.8547597604676597
+        ops = time_evolution(build_cycle(45, 1), RationalAngle(1, 2))
+        rep = brute_force_period(ops.evolution, 180, step=ops.power_step)
+        assert (rep.period, rep.residual) == (180, 2.4492935982947064e-16)
+
+
+def block_size(u, cap):
+    """The scan's block size: the largest power of two at most 64, the cap
+    and ``BLOCK_BYTES`` over the bytes of one power."""
+    fit = min(64, cap, periodicity.BLOCK_BYTES // max(16 * u.size, 1))
+    return 1 << (max(fit, 1).bit_length() - 1)
+
+
+def unscreened_powers(u, cap, step=None):
+    """Every power the scan forms, in its order: one step at a time with a
+    ``step`` or at block size 1, otherwise as acc @ u^1 .. u^B from the
+    doubled stack, projecting every ``RENORMALIZE_EVERY`` steps but not at
+    the cap."""
+    size = 1 if step else block_size(u, cap)
+    step = step or (lambda acc: acc @ u)
+    powers = linalg.power_stack(u, size)
+    acc = np.eye(u.shape[0], dtype=complex)
+    for done in range(0, cap, size):
+        count = min(size, cap - done)
+        block = [step(acc)] if size == 1 else list(acc @ powers[:count] if done else powers[:count])
+        if (done + count) % linalg.RENORMALIZE_EVERY == 0 and done + count < cap:
+            block[-1] = linalg.project_to_unitary(block[-1])
+        acc = block[-1]
+        yield from block
+
+
+def scan_step(ops):
+    """The step ``period_of`` scans a walk with: blocks (None) below the
+    structured step's crossover, the structured step from it on."""
+    return ops.power_step if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else None
 
 
 def unscreened_period(u, cap, step=None):
-    """The powering search with the full identity distance at every power,
-    projecting every ``RENORMALIZE_EVERY`` steps but not at the cap."""
-    step = step or (lambda acc: acc @ u)
-    acc = np.eye(u.shape[0], dtype=complex)
+    """The powering search with the full identity distance at every power."""
     best = math.inf
-    for tau in range(1, cap + 1):
-        acc = step(acc)
-        if tau % linalg.RENORMALIZE_EVERY == 0 and tau < cap:
-            acc = linalg.project_to_unitary(acc)
-        dist = linalg.distance_to_identity(acc)
+    for tau, power in enumerate(unscreened_powers(u, cap, step), 1):
+        dist = linalg.distance_to_identity(power)
         best = min(best, dist)
         if dist < linalg.IDENTITY_TOL:
             return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
@@ -157,8 +289,9 @@ class TestScreenedIdentityDistance:
             ops = time_evolution(g, float(rng.uniform(0.2, 3.0)))
             side = "above" if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else "below"
             sizes[side] += 1
-            got = brute_force_period(ops.evolution, 64, step=ops.power_step)
-            assert_same_report(got, unscreened_period(ops.evolution, 64, step=ops.power_step))
+            for step in (scan_step(ops), ops.power_step):  # as period_of scans, and per step
+                got = brute_force_period(ops.evolution, 64, step=step)
+                assert_same_report(got, unscreened_period(ops.evolution, 64, step=step))
         assert min(sizes.values()) >= 2, sizes
 
     def test_cycles_at_rational_angles(self):
@@ -166,9 +299,9 @@ class TestScreenedIdentityDistance:
         for n, p, q in ((5, 1, 3), (6, 2, 5), (12, 1, 4), (40, 3, 4), (45, 1, 2)):
             ops = time_evolution(random_mixed_cycle(n, rng), RationalAngle(p, q))
             cap = 2 * q * n
-            got = brute_force_period(ops.evolution, cap, step=ops.power_step)
+            got = brute_force_period(ops.evolution, cap, step=scan_step(ops))
             assert got.periodic
-            assert_same_report(got, unscreened_period(ops.evolution, cap, step=ops.power_step))
+            assert_same_report(got, unscreened_period(ops.evolution, cap, step=scan_step(ops)))
 
     def test_permutations_and_a_small_rotation(self):
         cycle = np.eye(5, dtype=complex)[[1, 2, 3, 4, 0]]

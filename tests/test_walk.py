@@ -240,6 +240,20 @@ class TestSpectralMap:
                     assert max(rep.trace_moment_residuals) < 1e-7
 
 
+    def test_trace_moments_hold_to_1e_12_on_both_routes(self):
+        # below the crossover the ten powers come from one doubled stack,
+        # from it on from the structured step; both predict to 1e-12
+        rng = np.random.default_rng(3)
+        graphs = [build_cycle(n, j) for n in range(3, 9) for j in range(n + 1)]
+        graphs += [random_mixed_path(int(rng.integers(2, 9)), rng) for _ in range(7)]
+        graphs += [build_cycle(40, 3), random_mixed_graph(20, np.random.default_rng(5), 0.3)]
+        for g in graphs:
+            for eta in ETA_GRID:
+                rep = spectral_map_check(g, eta)
+                assert len(rep.trace_moment_residuals) == walk.TRACE_MOMENTS
+                assert max(rep.trace_moment_residuals) < 1e-12, (g, eta)
+
+
 class TestPowerStep:
     """``power_step`` holds powers in ``step_order``: with o that order and
     U' = U[o][:, o], it maps x to U' @ x."""
