@@ -167,21 +167,16 @@ def distance_to_identity(m, floor: float = math.inf):
     n = m.shape[-1]
     if n == 0:
         return np.zeros(m.shape[:-2]) if m.ndim > 2 else 0.0
-    diagonal_gaps = np.abs(m.diagonal(0, -2, -1) - 1.0)
-    dist = diagonal_gaps.max(-1)
-    if m.ndim == 2:  # one matrix: screened with scalars
-        if dist >= floor:
-            return float(dist)
-        gaps = np.abs(m)
-        np.fill_diagonal(gaps, diagonal_gaps)
-        return float(gaps.max())
+    stack = m.reshape(-1, n, n)  # a matrix is a stack of one
+    diagonal_gaps = np.abs(stack.diagonal(0, 1, 2) - 1.0)
+    dist = diagonal_gaps.max(1)
     close = dist < floor
     if close.any():
         close = Ellipsis if close.all() else close  # no gathered copy when every slice is close
-        gaps = np.abs(m[close])
+        gaps = np.abs(stack[close])
         gaps.reshape(-1, n * n)[:, :: n + 1] = diagonal_gaps[close]
-        dist[close] = gaps.max((-2, -1))
-    return dist
+        dist[close] = gaps.max((1, 2))
+    return float(dist[0]) if m.ndim == 2 else dist.reshape(m.shape[:-2])
 
 
 def unitary_defect(m) -> float:

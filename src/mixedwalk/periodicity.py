@@ -25,7 +25,7 @@ from .errors import ContractViolationError, DomainError
 from .graphs import MixedGraph, build_cycle
 from .spectra import Angle, RationalAngle, angle_radians
 from .switching import classify_cycle
-from .walk import STRUCTURED_STEP_MIN_ARCS, WalkOperators, time_evolution
+from .walk import time_evolution
 from . import linalg
 
 DEFAULT_CAP = 10_000
@@ -85,9 +85,10 @@ def brute_force_period(
     reads it.  Block order moves distances only in their last digits; at
     B = 1 the scan is the per-step one, bit for bit.  A ``step`` maps each
     power of ``u`` to the next, one power a block (walks pass
-    ``WalkOperators.power_step`` from ``walk.STRUCTURED_STEP_MIN_ARCS`` arcs
-    on); it may hold the powers in a fixed basis permutation P, as
-    P u^tau P^T from I, on which neither distance nor projection depends.
+    ``WalkOperators.structured_step``, None below
+    ``walk.STRUCTURED_STEP_MIN_ARCS`` arcs); it may hold the powers in a
+    fixed basis permutation P, as P u^tau P^T from I, on which neither
+    distance nor projection depends.
 
     A block's distances are screened by their diagonals against the closest
     approach before it.  The search returns at the first distance below
@@ -113,12 +114,7 @@ def brute_force_period(
             # into a new array: neither the stack nor a step's result is written to
             block = np.concatenate((block[:-1], linalg.project_to_unitary(block[-1])[None]))
         acc = block[-1]
-        # one screened call per block; a block of one takes the cheaper scalar call
-        if count == 1:
-            dists = [linalg.distance_to_identity(block[0], floor=best)]
-        else:
-            dists = linalg.distance_to_identity(block, floor=best).tolist()
-        for tau, dist in enumerate(dists, done + 1):
+        for tau, dist in enumerate(linalg.distance_to_identity(block, floor=best).tolist(), done + 1):
             best = min(best, dist)
             if dist < linalg.IDENTITY_TOL:
                 return PeriodReport(True, tau, METHOD_BRUTE, cap, NOT_RUN, dist)
@@ -202,7 +198,8 @@ def cycle_period_by_powering(n: int, j: int, eta: RationalAngle) -> tuple[int, P
 
     The two routes share nothing; callers compare them."""
     tau = cycle_period(n, j, eta)
-    return tau, _walk_period(time_evolution(build_cycle(n, j), eta), 2 * eta.q * n)
+    ops = time_evolution(build_cycle(n, j), eta)
+    return tau, brute_force_period(ops.evolution, 2 * eta.q * n, step=ops.structured_step)
 
 
 def detect_rational_angle(radians: float) -> Optional[RationalAngle]:
@@ -238,13 +235,8 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
         guaranteed = 2 * eta.q * graph.n_vertices
         return _closed_form_report(graph, eta, tau, METHOD_CYCLE, guaranteed)
 
-    return _walk_period(time_evolution(graph, eta), cap)
-
-
-def _walk_period(ops: WalkOperators, cap: int) -> PeriodReport:
-    # below the structured step's crossover its step is the matmul the blocks batch
-    step = ops.power_step if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else None
-    return brute_force_period(ops.evolution, cap, step=step)
+    ops = time_evolution(graph, eta)
+    return brute_force_period(ops.evolution, cap, step=ops.structured_step)
 
 
 def _closed_form_report(graph: MixedGraph, eta: Angle, tau: int, method: str, cap: int) -> PeriodReport:

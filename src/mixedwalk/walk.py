@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,7 +117,7 @@ class WalkOperators:
         size the order is arc order and the step is the matmul acc @ U,
         equal to U @ acc for a power of U.
         """
-        if len(self.arc_index) < STRUCTURED_STEP_MIN_ARCS:
+        if self.structured_step is None:
             return acc @ self.evolution
         _, gather, runs, scale, phase = self._slot_order
         y = acc[gather]
@@ -129,15 +130,21 @@ class WalkOperators:
         y *= phase
         return y
 
+    @property
+    def structured_step(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """``power_step`` from ``STRUCTURED_STEP_MIN_ARCS`` arcs on, where it
+        runs through the arc arrays; None below, where the step is the dense
+        matmul that a caller can batch instead (``linalg.power_stack``)."""
+        return self.power_step if len(self.arc_index) >= STRUCTURED_STEP_MIN_ARCS else None
+
     @cached_property
     def step_order(self) -> np.ndarray:
         """The arc of each row (and column) of the powers ``power_step``
         takes and returns: slot order from ``STRUCTURED_STEP_MIN_ARCS`` arcs
         on, arc order below.  Read-only."""
-        m = len(self.arc_index)
-        if m >= STRUCTURED_STEP_MIN_ARCS:
+        if self.structured_step:
             return self._slot_order[0]
-        order = np.arange(m)
+        order = np.arange(len(self.arc_index))
         order.flags.writeable = False
         return order
 
@@ -255,13 +262,13 @@ def spectral_map_check(graph: MixedGraph, eta: Angle) -> SpectralMapReport:
     spectrum = linalg.Spectrum.from_values(predicted, tol=1e-9)
 
     # reading U runs the size guard and the gate before any power is formed
-    if n_arcs < STRUCTURED_STEP_MIN_ARCS:
+    if ops.structured_step is None:
         traces = np.trace(linalg.power_stack(ops.evolution, TRACE_MOMENTS), axis1=1, axis2=2)
     else:
         acc = np.eye(len(ops.evolution), dtype=complex)
         traces = []
         for _ in range(TRACE_MOMENTS):
-            acc = ops.power_step(acc)
+            acc = ops.structured_step(acc)
             traces.append(np.trace(acc))
     values, mults = np.array(spectrum.pairs).T
     moments = (mults * values ** np.arange(1, TRACE_MOMENTS + 1)[:, None]).sum(axis=1)

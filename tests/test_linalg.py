@@ -253,9 +253,11 @@ def test_stacked_distances_match_their_slices_bit_for_bit():
             got = linalg.distance_to_identity(stack, floor=floor)
             assert got.shape == (len(slices),)
             assert [repr(float(v)) for v in got] == [repr(v) for v in want], (n, floor)
-        # any batch shape
-        grid = linalg.distance_to_identity(stack[:4].reshape(2, 2, n, n), floor=0.3)
-        assert grid.tolist() == [[linalg.distance_to_identity(m, floor=0.3) for m in pair] for pair in (slices[:2], slices[2:4])]
+        # any batch shape, with every slice screened out, some, or none
+        for floor in (math.inf, 0.3, 0.0):
+            grid = linalg.distance_to_identity(stack[:4].reshape(2, 2, n, n), floor=floor)
+            want = [[linalg.distance_to_identity(m, floor=floor) for m in pair] for pair in (slices[:2], slices[2:4])]
+            assert grid.tolist() == want, (n, floor)
     assert linalg.distance_to_identity(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3))):
         with pytest.raises(DimensionError):

@@ -190,7 +190,7 @@ class TestBlockedScan:
         blocks = []
 
         def counted(m, floor=math.inf):
-            blocks.append(len(m) if m.ndim == 3 else 1)  # a block of one is screened as a matrix
+            blocks.append(len(m))  # every block, one power or many, is screened as a stack
             return screen(m, floor)
 
         monkeypatch.setattr(linalg, "distance_to_identity", counted)
@@ -252,12 +252,6 @@ def unscreened_powers(u, cap, step=None):
         yield from block
 
 
-def scan_step(ops):
-    """The step ``period_of`` scans a walk with: blocks (None) below the
-    structured step's crossover, the structured step from it on."""
-    return ops.power_step if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else None
-
-
 def unscreened_period(u, cap, step=None):
     """The powering search with the full identity distance at every power."""
     best = math.inf
@@ -289,7 +283,7 @@ class TestScreenedIdentityDistance:
             ops = time_evolution(g, float(rng.uniform(0.2, 3.0)))
             side = "above" if len(ops.arc_index) >= STRUCTURED_STEP_MIN_ARCS else "below"
             sizes[side] += 1
-            for step in (scan_step(ops), ops.power_step):  # as period_of scans, and per step
+            for step in (ops.structured_step, ops.power_step):  # as period_of scans, and per step
                 got = brute_force_period(ops.evolution, 64, step=step)
                 assert_same_report(got, unscreened_period(ops.evolution, 64, step=step))
         assert min(sizes.values()) >= 2, sizes
@@ -299,9 +293,9 @@ class TestScreenedIdentityDistance:
         for n, p, q in ((5, 1, 3), (6, 2, 5), (12, 1, 4), (40, 3, 4), (45, 1, 2)):
             ops = time_evolution(random_mixed_cycle(n, rng), RationalAngle(p, q))
             cap = 2 * q * n
-            got = brute_force_period(ops.evolution, cap, step=scan_step(ops))
+            got = brute_force_period(ops.evolution, cap, step=ops.structured_step)
             assert got.periodic
-            assert_same_report(got, unscreened_period(ops.evolution, cap, step=scan_step(ops)))
+            assert_same_report(got, unscreened_period(ops.evolution, cap, step=ops.structured_step))
 
     def test_permutations_and_a_small_rotation(self):
         cycle = np.eye(5, dtype=complex)[[1, 2, 3, 4, 0]]

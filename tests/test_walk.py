@@ -278,12 +278,19 @@ class TestPowerStep:
             assert sorted(o) == list(range(m)) and not o.flags.writeable
             if m < STRUCTURED_STEP_MIN_ARCS:
                 assert list(o) == list(range(m))
+                assert ops.structured_step is None
+            else:
+                assert ops.structured_step == ops.power_step
             u = ops.evolution[np.ix_(o, o)]
             acc = np.linalg.matrix_power(u, 3)
             assert np.max(np.abs(ops.power_step(acc) - u @ acc)) < 1e-12
             sizes.append(m)
         assert min(sizes) == 2
         assert max(sizes) >= STRUCTURED_STEP_MIN_ARCS > min(sizes)
+        # at the crossover itself: 70 arcs take no structured step, 72 arcs do
+        assert time_evolution(build_cycle(35, 1), 0.7).structured_step is None
+        ops = time_evolution(build_cycle(36, 1), 0.7)
+        assert ops.structured_step == ops.power_step
 
 
 def corrupt_one_phase(monkeypatch):
