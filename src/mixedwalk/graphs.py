@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from collections import deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,7 +98,7 @@ class MixedGraph:
         """The same underlying graph, validated already, with other signs."""
         graph = object.__new__(MixedGraph)
         graph._set(self.n_vertices, self.edges, signs, self._keys)
-        if "adjacency" in self.__dict__:  # it reads the edges only
+        if "adjacency" in self.__dict__:  # it reads the edges only; arc_index holds signs
             graph.__dict__["adjacency"] = self.adjacency
         return graph
 
@@ -232,6 +232,12 @@ class MixedGraph:
             order.append(a if b == order[-2] else b)
         return tuple(order)
 
+    @cached_property
+    def arc_index(self) -> "ArcIndex":
+        """The graph's ``ArcIndex``, built on first read and shared by every
+        walk on the graph; its arrays are read-only."""
+        return ArcIndex(self)
+
     def reversed_arcs(self) -> "MixedGraph":
         """Reverse every arc (digons are unchanged)."""
         return self._with_signs(-self.signs)
@@ -259,6 +265,8 @@ class ArcIndex:
         self.signs = np.concatenate((graph.signs, -graph.signs))[order]
         # the reverse of the arc at doubled position j sits at j + E, mod 2E
         self.inverse = order.argsort()[(order + len(order) // 2) % max(len(order), 1)]
+        for array in (self._keys, self.origin, self.terminus, self.signs, self.inverse):
+            array.setflags(write=False)
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -294,12 +302,25 @@ def _path_edges(n: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
+#: Canonical cycles ``build_cycle`` keeps, most recently used first.
+CYCLE_MEMO_SIZE = 256
+
+
 def build_cycle(n: int, j: int) -> MixedGraph:
-    """Mixed cycle of type ``j``: arcs (0,1)..(j-1,j) one-directional, rest digons."""
+    """Mixed cycle of type ``j``: arcs (0,1)..(j-1,j) one-directional, rest
+    digons.  One graph per (n, j) is shared by every caller; it is immutable,
+    and so are its cached ``arc_index`` and other derived structures."""
+    # operator.index: non-integers raise TypeError before any memo lookup
+    n, j = operator.index(n), operator.index(j)
     if n < 3:
         raise InvalidGraphError(f"a cycle needs n >= 3, got {n}")
     if not 0 <= j <= n:
         raise InvalidGraphError(f"cycle type j={j} outside 0..{n}")
+    return _canonical_cycle(n, j)
+
+
+@lru_cache(maxsize=CYCLE_MEMO_SIZE)
+def _canonical_cycle(n: int, j: int) -> MixedGraph:
     return from_edge_signs(n, _cycle_edges(n), [1] * j + [0] * (n - j))
 
 

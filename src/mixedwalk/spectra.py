@@ -82,25 +82,31 @@ ETA_GRID: tuple[Angle, ...] = (
 )
 
 
-def h_eta(graph: MixedGraph, eta: Angle) -> np.ndarray:
+def h_eta(graph: MixedGraph, eta: Angle | tuple[Angle, ...]) -> np.ndarray:
     """Phased Hermitian adjacency matrix of a mixed graph.
 
     Entries: 1 on digons, ``e^{i eta}`` on an arc (x, y) with no reverse,
     the conjugate on the reverse position, 0 elsewhere.  Hermitian exactly,
-    by construction in conjugate pairs.
+    by construction in conjugate pairs.  A tuple of A angles gives the
+    ``(A, n, n)`` stack of their matrices.
     """
-    w = complex(np.exp(1j * angle_radians(eta)))
-    z = np.array([1.0, w, w.conjugate()])[graph.signs]  # sign -1 takes the last
-    h = np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)
+    etas = eta if isinstance(eta, tuple) else (eta,)
+    ws = [complex(np.exp(1j * angle_radians(e))) for e in etas]
+    # per angle the entries for signs 0, +1, -1 (index -1); reshape keeps () a (0, 3) table
+    z = np.array([(1.0, w, w.conjugate()) for w in ws], dtype=complex).reshape(-1, 3)[:, graph.signs]
+    h = np.zeros((len(etas), graph.n_vertices, graph.n_vertices), dtype=complex)
     u, v = graph.edges.T
-    h[u, v] = z
-    h[v, u] = z.conj()
-    return h
+    h[:, u, v] = z
+    h[:, v, u] = z.conj()
+    return h if isinstance(eta, tuple) else h[0]
 
 
-def normalized_h_eta(graph: MixedGraph, eta: Angle, h: np.ndarray | None = None) -> np.ndarray:
+def normalized_h_eta(
+    graph: MixedGraph, eta: Angle | tuple[Angle, ...], h: np.ndarray | None = None
+) -> np.ndarray:
     """Degree-normalized variant D^{-1/2} H D^{-1/2}; spectral radius <= 1.
-    ``h``, when the caller built it already, is ``h_eta(graph, eta)``."""
+    ``h``, when the caller built it already, is ``h_eta(graph, eta)``, or
+    any stack of matrices of graphs with the same degrees."""
     degs = graph.degrees
     if any(d == 0 for d in degs):
         raise DomainError("normalization needs every degree >= 1")
@@ -165,18 +171,16 @@ def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np
 
     Trees have infinite girth, so for them every coefficient is compared.
     The two graphs' matrices stay separate inputs to one ``charpoly`` call
-    on a ``(2, 2 * len(etas), n, n)`` stack.  A NaN coefficient gives a NaN
-    gap.
+    on a ``(2, 2 * len(etas), n, n)`` stack, each angle's plain matrix
+    followed by its normalized one.  A NaN coefficient gives a NaN gap.
     """
-    n = graph.n_vertices
+    n, etas = graph.n_vertices, tuple(etas)
     s = graph.girth()
     limit = n if math.isinf(s) else int(s) - 1
-    stack = []
-    for g in (graph, graph.underlying()):
-        for eta in etas:
-            h = h_eta(g, eta)
-            stack += [h, normalized_h_eta(g, eta, h)]
-    coeffs = linalg.charpoly(np.array(stack, dtype=complex).reshape(2, 2 * len(etas), n, n))
+    # the underlying graph has the same degrees, so one scale serves both
+    h = np.stack((h_eta(graph, etas), h_eta(graph.underlying(), etas)))
+    stack = np.stack((h, normalized_h_eta(graph, etas, h)), axis=2)
+    coeffs = linalg.charpoly(stack.reshape(2, 2 * len(etas), n, n))
     diff = coeffs[0, :, n - limit : n] - coeffs[1, :, n - limit : n]
     # hypot, as Python's abs(complex) computes it; np.abs may differ by an ulp
     gaps = np.hypot(diff.real, diff.imag)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import linalg, periodicity, spectra, switching, walk
 from .graphs import (
-    ArcIndex,
     MixedGraph,
     build_cycle,
     from_edge_signs,
@@ -60,9 +59,8 @@ def check_cycle_determinant_closed_form(seed: int = 0) -> tuple[bool, str]:
     worst, cells = 0.0, 0
     for n in range(3, 11):
         for j in range(n + 1):
-            g = build_cycle(n, j)
-            for eta in ETA_GRID:
-                num = linalg.determinant(spectra.h_eta(g, eta))
+            for eta, h in zip(ETA_GRID, spectra.h_eta(build_cycle(n, j), ETA_GRID)):
+                num = linalg.determinant(h)
                 closed = spectra.det_cycle_closed(n, j, eta)
                 worst = max(worst, abs(num - closed))
                 cells += 1
@@ -73,9 +71,8 @@ def check_path_determinant_closed_form(seed: int = 0) -> tuple[bool, str]:
     """Closed-form path determinant vs LAPACK, n in 1..12, all grid angles."""
     worst = 0.0
     for n in range(1, 13):
-        g = _all_digon_path(n)
-        for eta in ETA_GRID:
-            num = linalg.determinant(spectra.h_eta(g, eta))
+        for h in spectra.h_eta(_all_digon_path(n), ETA_GRID):
+            num = linalg.determinant(h)
             worst = max(worst, abs(num - spectra.det_path_closed(n)))
     return worst < 1e-9, f"max error {worst:.3e}"
 
@@ -177,7 +174,7 @@ def check_spectral_map_trace_moments(seed: int = 0) -> tuple[bool, str]:
     for g in targets:
         for eta in ETA_GRID:
             rep = walk.spectral_map_check(g, eta)
-            if rep.predicted.total != len(ArcIndex(g)):
+            if rep.predicted.total != len(g.arc_index):
                 return False, f"multiplicity count off for n={g.n_vertices}"
             worst = max(worst, max(rep.trace_moment_residuals))
     return worst < 1e-7, f"max trace-moment residual {worst:.3e}"

@@ -46,8 +46,12 @@ class WalkOperators:
     arcs, and U only once it passes the agreement gate."""
 
     graph: MixedGraph
-    arc_index: ArcIndex
     eta: Angle
+
+    @property
+    def arc_index(self) -> ArcIndex:
+        """The graph's own ``MixedGraph.arc_index``."""
+        return self.graph.arc_index
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -115,7 +119,9 @@ class WalkOperators:
         The rows stay in slot order from one step to the next, and the
         columns only ride along, so I starts a chain as it is.  Below that
         size the order is arc order and the step is the matmul acc @ U,
-        equal to U @ acc for a power of U.
+        equal to U @ acc for a power of U.  No search takes that dense
+        branch (it batches the matmuls instead); it stays as the plain
+        per-step powering against which the tests check the blocked scan.
         """
         if self.structured_step is None:
             return acc @ self.evolution
@@ -206,7 +212,7 @@ def evolution_entrywise(graph: MixedGraph, index: ArcIndex, phases: np.ndarray) 
 def time_evolution(graph: MixedGraph, eta: Angle) -> WalkOperators:
     """The walk on ``graph`` at angle ``eta``; no dense operator is built
     until one is read."""
-    return WalkOperators(graph, ArcIndex(graph), eta)
+    return WalkOperators(graph, eta)
 
 
 @dataclass(frozen=True)

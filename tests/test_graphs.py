@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mixedwalk import graphs
 from mixedwalk.errors import InvalidGraphError
 from mixedwalk.graphs import (
     ArcIndex,
@@ -66,6 +67,39 @@ def test_build_cycle_rejects_bad_input():
         build_cycle(5, 6)
     with pytest.raises(InvalidGraphError):
         build_cycle(5, -1)
+
+
+def test_shared_cycles_keep_the_input_domain():
+    # the memo is keyed after the checks, so a cached (5, 1) answers no float
+    assert build_cycle(5, 1) is build_cycle(np.int64(5), np.int8(1))
+    for n, j in ((5.0, 1), (np.float64(5), 1), (5, 1.0), ("5", 1)):
+        with pytest.raises(TypeError):
+            build_cycle(n, j)
+    for n, j in ((2, 0), (5, 6), (5, -1), (True, 1)):
+        with pytest.raises(InvalidGraphError):
+            build_cycle(n, j)
+
+
+def test_shared_cycles_are_bounded():
+    for n in range(3, 40):
+        for j in range(n + 1):
+            build_cycle(n, j)
+    assert graphs._canonical_cycle.cache_info().currsize == graphs.CYCLE_MEMO_SIZE
+
+
+def test_shared_cycles_and_their_arc_index_are_read_only():
+    g = build_cycle(6, 2)
+    index = g.arc_index
+    assert build_cycle(6, 2) is g and g.arc_index is index
+    for array in (g.edges, g.signs, index.origin, index.terminus, index.signs, index.inverse):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        g.signs = np.zeros(6, dtype=np.int8)
+    # a graph made from another builds its own index, with its own signs
+    assert g.underlying().arc_index.signs.tolist() == [0] * 12
+    assert np.array_equal(g.reversed_arcs().arc_index.signs, -index.signs)
+    assert index.signs.tolist() == ArcIndex(g).signs.tolist() == [g.edge_sign(o, t) for o, t in index.arcs]
 
 
 def test_build_path_variants():

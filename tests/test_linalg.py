@@ -191,8 +191,13 @@ def test_hermitian_eigenvalues_match_numpy():
 
 def test_spectrum_groups_do_not_chain():
     # consecutive gaps of 6e-8 sit under the 1e-7 tolerance, the span does not
-    spec = linalg.Spectrum.from_values([0.0, 6e-8, 1.2e-7, 1.8e-7], tol=1e-7)
+    values = [0.0, 6e-8, 1.2e-7, 1.8e-7]
+    spec = linalg.Spectrum.from_values(values, tol=1e-7)
     assert [m for _, m in spec.pairs] == [2, 2]
+    first = 0
+    for _, m in spec.pairs:  # the groups are runs of the sorted values
+        assert values[first + m - 1] - values[first] <= 1e-7
+        first += m
     assert spec.pairs[0][0] == pytest.approx(3e-8, abs=1e-20)
     assert spec.pairs[1][0] == pytest.approx(1.5e-7, abs=1e-20)
 

@@ -67,6 +67,11 @@ class TestBruteForce:
         with pytest.raises(ContractViolationError):
             brute_force_period(np.array([[1, 1], [0, 1]], dtype=complex), cap=5)
 
+    def test_rejects_nan(self):
+        # a NaN unitarity defect compares false against the tolerance either way
+        with pytest.raises(ContractViolationError):
+            brute_force_period(np.full((2, 2), np.nan), 100)
+
     def test_rejects_bad_cap(self):
         with pytest.raises(DomainError):
             brute_force_period(np.eye(2, dtype=complex), cap=0)
@@ -355,6 +360,8 @@ class TestCertifyPeriod:
     def test_rejects_non_unitary_and_bad_tau(self):
         with pytest.raises(ContractViolationError):
             certify_period(np.array([[1, 1], [0, 1]], dtype=complex), 2)
+        with pytest.raises(ContractViolationError):
+            certify_period(np.full((2, 2), np.nan), 4)
         with pytest.raises(DomainError):
             certify_period(np.eye(2, dtype=complex), 0)
 

@@ -231,6 +231,58 @@ def gap_by_coefficient(graph, eta):
     return worst
 
 
+def h_by_edge(graph, eta):
+    """Reference: the matrix of one angle, filled one edge at a time."""
+    w = complex(np.exp(1j * angle_radians(eta)))
+    h = np.zeros((graph.n_vertices, graph.n_vertices), dtype=complex)
+    for (u, v), s in zip(graph.edges.tolist(), graph.signs.tolist()):
+        h[u, v] = (1.0, w, w.conjugate())[s]
+        h[v, u] = h[u, v].conjugate()
+    return h
+
+
+def gaps_by_angle_loop(graph, etas):
+    """Reference: ``coefficient_gaps_below_girth`` with its charpoly input
+    built one angle and one graph at a time."""
+    n, s = graph.n_vertices, graph.girth()
+    limit = n if math.isinf(s) else int(s) - 1
+    stack = []
+    for g in (graph, graph.underlying()):
+        for eta in etas:
+            h = h_by_edge(g, eta)
+            stack += [h, normalized_h_eta(g, eta, h)]
+    coeffs = linalg.charpoly(np.array(stack, dtype=complex).reshape(2, 2 * len(etas), n, n))
+    diff = coeffs[0, :, n - limit : n] - coeffs[1, :, n - limit : n]
+    return np.hypot(diff.real, diff.imag).reshape(len(etas), 2 * limit).max(axis=1)
+
+
+class TestStackedBuild:
+    def test_each_slice_is_the_matrix_of_its_angle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            g = random_unicyclic(int(rng.integers(3, 12)), rng)
+            etas = ETA_GRID + tuple(rng.uniform(-7.0, 7.0, 3).tolist())
+            stack = h_eta(g, etas)
+            assert stack.shape == (len(etas), g.n_vertices, g.n_vertices)
+            for eta, h in zip(etas, stack):
+                assert h.tobytes() == h_by_edge(g, eta).tobytes() == h_eta(g, eta).tobytes()
+            for eta, h in zip(etas, normalized_h_eta(g, etas)):
+                assert h.tobytes() == normalized_h_eta(g, eta).tobytes()
+
+    def test_one_angle_stays_two_dimensional(self):
+        g = build_cycle(5, 2)
+        assert h_eta(g, 0.4).shape == (5, 5)
+        assert h_eta(g, (0.4,)).shape == (1, 5, 5)
+        assert h_eta(g, ()).shape == (0, 5, 5)
+
+    def test_gaps_equal_the_angle_loop_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for trial in range(100):
+            n = int(rng.integers(3, 11))
+            g = random_mixed_tree(n, rng) if trial % 2 else random_unicyclic(n, rng)
+            assert coefficient_gaps_below_girth(g, ETA_GRID).tobytes() == gaps_by_angle_loop(g, ETA_GRID).tobytes()
+
+
 class TestCoefficientGaps:
     def graphs(self):
         rng = np.random.default_rng(5)
@@ -252,7 +304,9 @@ class TestCoefficientGaps:
         monkeypatch.setattr(spectra, "h_eta", lambda g, eta: built.append(eta) or plain(g, eta))
         g = random_unicyclic(9, np.random.default_rng(3))
         gaps = coefficient_gaps_below_girth(g, ETA_GRID)
-        assert built == 2 * list(ETA_GRID)  # the graph's, then its underlying graph's
+        # one stack over every angle for the graph, then one for its
+        # underlying graph; the normalized matrices reuse them
+        assert built == [ETA_GRID, ETA_GRID]
         monkeypatch.undo()
         assert gaps.tolist() == [gap_by_coefficient(g, eta) for eta in ETA_GRID]
         for eta in ETA_GRID:
