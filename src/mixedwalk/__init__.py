@@ -28,7 +28,6 @@ from .switching import (
     canonicalize_cycle,
     classify_cycle,
     named_move,
-    recognize_mixed_graph,
 )
 from .walk import SpectralMapReport, WalkOperators, spectral_map_check, time_evolution
 
@@ -60,7 +59,6 @@ __all__ = [
     "canonicalize_cycle",
     "classify_cycle",
     "named_move",
-    "recognize_mixed_graph",
     "SpectralMapReport",
     "WalkOperators",
     "spectral_map_check",

@@ -171,8 +171,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_classify_cycle(args) -> int:
     graph = parse_graph(args.graph)
-    eta = parse_eta(args.eta)
-    result = switching.canonicalize_cycle(graph, eta)
+    parse_eta(args.eta)  # validated only: the canonical form does not depend on the angle
+    result = switching.canonicalize_cycle(graph)
     canonical = build_cycle(graph.n_vertices, result.type_j)
     payload = {
         "n": graph.n_vertices,
@@ -246,15 +246,12 @@ def cmd_sweep(args) -> int:
                 f"sweep grid too large: its powering work (2qn steps on 2n arcs, summed "
                 f"over cells) exceeds {MAX_SWEEP_WORK:.0e}; narrow --n-max or --angles"
             )
-    rows = []
-    for n in sizes:
-        for j in range(n + 1):
-            for p, q in angles:
-                tau, brute = periodicity.cycle_period_by_powering(n, j, RationalAngle(p, q))
-                rows.append((n, j, p, q, tau, brute.period if brute.periodic else -1))
+    # every cell before the first line, so that a cell that fails prints nothing
+    cells = list(periodicity.cycle_period_cells(sizes, angles))
     print("n,j,p,q,tau_formula,tau_brute,agree")
     all_agree = True
-    for n, j, p, q, tf, tb in rows:
+    for n, j, (p, q), tf, brute in cells:
+        tb = brute.period if brute.periodic else -1
         agree = tf == tb
         all_agree &= agree
         print(f"{n},{j},{p},{q},{tf},{tb},{'true' if agree else 'false'}")
@@ -333,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="CSV table: period formula vs powering over a cycle grid")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--angles", default="0/1,1/1,1/2,1/3,2/3,3/4", help="comma list of p/q")
+    p.add_argument("--angles", default=",".join(f"{p}/{q}" for p, q in verify.PERIOD_ANGLE_PAIRS),
+                   help="comma list of p/q")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the full verification suite")

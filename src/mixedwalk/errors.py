@@ -21,10 +21,6 @@ class MoveNotApplicableError(DomainError):
     """A switching move was requested at a vertex lacking the required local pattern."""
 
 
-class NotMixedGraphError(DomainError):
-    """A matrix could not be decoded back into a mixed graph."""
-
-
 class UsageError(DomainError):
     """Unparseable command-line input."""
 

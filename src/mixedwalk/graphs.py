@@ -238,10 +238,6 @@ class MixedGraph:
         walk on the graph; its arrays are read-only."""
         return ArcIndex(self)
 
-    def reversed_arcs(self) -> "MixedGraph":
-        """Reverse every arc (digons are unchanged)."""
-        return self._with_signs(-self.signs)
-
     def relabeled(self, perm: Sequence[int]) -> "MixedGraph":
         """Apply the vertex permutation ``perm`` (old label -> new label)."""
         if sorted(perm) != list(range(self.n_vertices)):

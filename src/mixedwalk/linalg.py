@@ -40,10 +40,8 @@ def _require_square(m: np.ndarray) -> int:
 
 
 def hermitian_defect(m) -> float:
-    """Largest entrywise deviation of M from its conjugate transpose."""
+    """Largest entrywise deviation of a square M from its conjugate transpose."""
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return math.inf
     if m.size == 0:
         return 0.0
     return float(np.max(np.abs(m - m.conj().T)))

@@ -202,6 +202,16 @@ def cycle_period_by_powering(n: int, j: int, eta: RationalAngle) -> tuple[int, P
     return tau, brute_force_period(ops.evolution, 2 * eta.q * n, step=ops.structured_step)
 
 
+def cycle_period_cells(sizes, angle_pairs):
+    """Each cell (n, j, (p, q)) of a cycle grid, n in ``sizes``, j in 0..n and
+    the angle p*pi/q, in that order, with its ``cycle_period_by_powering``
+    formula period and powering report."""
+    for n in sizes:
+        for j in range(n + 1):
+            for p, q in angle_pairs:
+                yield (n, j, (p, q), *cycle_period_by_powering(n, j, RationalAngle(p, q)))
+
+
 def detect_rational_angle(radians: float) -> Optional[RationalAngle]:
     """Best-effort match of a float angle to p*pi/q with q at most
     ``RATIONAL_HINT_MAX_Q``, to within ``RATIONAL_HINT_TOL`` radians."""

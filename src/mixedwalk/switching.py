@@ -1,8 +1,10 @@
 """Switching moves on mixed cycles and canonicalization to type form.
 
-Conjugating the phased adjacency matrix by a diagonal of unit phases
-("switching") preserves the spectrum.  Three named local moves realize
-graph-to-graph switchings on cycles:
+A switching is one integer exponent k(v) per vertex.  It is combinatorial:
+the moves, the canonical form and its witness never read the angle.  Only
+``apply_switching`` forms a matrix, conjugating H_eta by the diagonal of
+unit phases e^{i k(v) eta}, which preserves the spectrum.  Three named
+local moves realize graph-to-graph switchings on cycles:
 
 * ``Sw2`` at x: both incident arcs one-directional and pointing into x;
   both become digons.
@@ -21,24 +23,14 @@ cycle and is computed independently of the moves as a cross-check.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    MoveNotApplicableError,
-    NotMixedGraphError,
-)
+from .errors import DomainError, InternalConsistencyError, MoveNotApplicableError
 from .graphs import MixedGraph, build_cycle, from_edge_signs
 from .spectra import Angle, angle_radians, h_eta
-from . import linalg
-
-RECOGNIZE_TOL = 1e-9
-DEGENERATE_PHASE_TOL = 1e-6
 
 SW2 = "Sw2"
 SW3 = "Sw3"
@@ -67,64 +59,24 @@ MOVES = {
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """Per-vertex phases alpha(v) = e^{i k(v) eta}, stored as integer exponents.
+    """A switching as one integer exponent k(v) per vertex.
 
-    Integer exponents make |alpha(v)| = 1 exact and let composed moves
-    accumulate without rounding.
+    Integer exponents let composed moves accumulate without rounding; the
+    phase e^{i k(v) eta} exists only in ``apply_switching``.
     """
 
     exponents: tuple[int, ...]
-    eta: Angle
-
-    @classmethod
-    def identity(cls, n: int, eta: Angle) -> "SwitchingFunction":
-        return cls((0,) * n, eta)
-
-    def values(self) -> np.ndarray:
-        rad = angle_radians(self.eta)
-        return np.exp(1j * rad * np.asarray(self.exponents, dtype=float))
 
 
 def apply_switching(
     graph: MixedGraph, eta: Angle, alpha: SwitchingFunction
 ) -> np.ndarray:
-    """Conjugated matrix D(alpha) H D(alpha)*; same spectrum as H."""
+    """Conjugated matrix D H_eta D* with D = diag(e^{i k(v) eta}); same
+    spectrum as H_eta."""
     if len(alpha.exponents) != graph.n_vertices:
         raise DomainError("switching function size does not match the graph")
-    d = alpha.values()
+    d = np.exp(1j * angle_radians(eta) * np.asarray(alpha.exponents, dtype=float))
     return h_eta(graph, eta) * d[:, None] * d.conj()[None, :]
-
-
-def recognize_mixed_graph(matrix, eta: Angle) -> MixedGraph:
-    """Decode a matrix back into the unique mixed graph it represents.
-
-    Every entry must be 0, 1, or e^{+-i eta} to within ``RECOGNIZE_TOL``.
-    When e^{i eta} is within 1e-6 of 1 the arc direction is unobservable, so
-    all nonzero entries are read as digons and a warning is emitted.
-    """
-    m = linalg.as_matrix(matrix)
-    n = m.shape[0]
-    if linalg.hermitian_defect(m) > linalg.HERMITICITY_TOL:
-        raise NotMixedGraphError("matrix is not Hermitian")
-    w = complex(np.exp(1j * angle_radians(eta)))
-    degenerate = abs(w - 1.0) < DEGENERATE_PHASE_TOL
-    if degenerate:
-        warnings.warn(
-            "phase is indistinguishable from 1; reading every entry as a digon",
-            stacklevel=2,
-        )
-    u, v = np.triu_indices(n, 1)
-    z = m[u, v]
-    # the first of 1, e^{i eta}, e^{-i eta} near an entry gives its sign 0, +1, -1
-    near = np.abs(z[:, None] - np.array([1.0, w, w.conjugate()])) <= RECOGNIZE_TOL
-    near[:, 0] |= degenerate
-    present = np.abs(z) > RECOGNIZE_TOL
-    alien = np.flatnonzero(present & ~near.any(axis=1))
-    if alien.size:
-        i = alien[0]
-        raise NotMixedGraphError(f"entry ({u[i]},{v[i]}) = {z[i]:.6g} is not in {{0, 1, e^(+-i eta)}}")
-    signs = np.array([0, 1, -1])[near.argmax(axis=1)]
-    return from_edge_signs(n, np.stack((u, v), axis=1)[present].tolist(), signs[present])
 
 
 def classify_cycle(graph: MixedGraph) -> int:
@@ -138,11 +90,11 @@ def classify_cycle(graph: MixedGraph) -> int:
     return abs(sum(_signs_in_order(graph, graph.cycle_order())))
 
 
-def named_move(graph: MixedGraph, eta: Angle, move: str, x: int) -> MixedGraph:
+def named_move(graph: MixedGraph, move: str, x: int) -> MixedGraph:
     """Apply one switching move at vertex x of a mixed cycle.
 
-    The graph rewrite itself does not depend on the angle; the matrix-level
-    identity D(alpha) H D(alpha)* = H' holds for every eta.
+    The matrix-level identity D H_eta D* = H'_eta, with the move's exponent
+    bump at x, holds for every eta.
     """
     if not graph.is_cycle_graph():
         raise DomainError("switching moves are defined on mixed cycles")
@@ -173,12 +125,13 @@ def _cycle_from_signs(order: tuple[int, ...], signs: list[int]) -> MixedGraph:
 
 @dataclass(frozen=True)
 class CycleClassification:
-    """Canonical form of a mixed cycle.
+    """Canonical form of a mixed cycle, the same at every angle.
 
-    Conjugating the input matrix by the witness and then relabeling the
-    vertices yields the matrix of the canonical type-j cycle entrywise;
-    ``orientation_reversed`` records whether the relabeling includes the
-    reflection that maps the arc-reversed canonical cycle onto itself.
+    At each eta, conjugating the input's H_eta by the witness
+    (``apply_switching``) and then relabeling the vertices yields H_eta of
+    the canonical type-j cycle entrywise; ``orientation_reversed`` records
+    whether the relabeling includes the reflection that maps the
+    arc-reversed canonical cycle onto itself.
     """
 
     type_j: int
@@ -188,7 +141,7 @@ class CycleClassification:
     moves: tuple[tuple[str, int], ...]
 
 
-def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
+def canonicalize_cycle(graph: MixedGraph) -> CycleClassification:
     """Reduce a mixed cycle to its canonical type by local moves.
 
     Stage one cancels opposing arc pairs: an arc is slid along digons until
@@ -274,7 +227,7 @@ def canonicalize_cycle(graph: MixedGraph, eta: Angle) -> CycleClassification:
     return CycleClassification(
         type_j=j,
         orientation_reversed=reversed_orientation,
-        witness=SwitchingFunction(tuple(exponents), eta),
+        witness=SwitchingFunction(tuple(exponents)),
         relabeling=tuple(relabeling),
         moves=tuple(moves),
     )

@@ -109,22 +109,24 @@ def check_coefficients_agree_below_girth(seed: int = 0) -> tuple[bool, str]:
 
 
 def check_cycle_canonicalization(seed: int = 0) -> tuple[bool, str]:
-    """100 random mixed cycles: the witness-conjugated, relabeled matrix equals
-    the canonical matrix entrywise, and cospectrality holds on the grid."""
+    """100 random mixed cycles, each canonicalized once: at every grid angle
+    the witness-conjugated, relabeled matrix equals the canonical matrix
+    entrywise, and the cycle is cospectral with its canonical form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(3, 13))
         g = random_mixed_cycle(n, rng)
+        c = switching.canonicalize_cycle(g)
+        canonical = build_cycle(n, c.type_j)
+        perm = np.zeros((n, n))
+        for old, new in enumerate(c.relabeling):
+            perm[new, old] = 1.0
         for eta in ETA_GRID:
-            c = switching.canonicalize_cycle(g, eta)
             conj = switching.apply_switching(g, eta, c.witness)
-            perm = np.zeros((n, n))
-            for old, new in enumerate(c.relabeling):
-                perm[new, old] = 1.0
-            target = spectra.h_eta(build_cycle(n, c.type_j), eta)
+            target = spectra.h_eta(canonical, eta)
             worst = max(worst, float(np.max(np.abs(perm @ conj @ perm.T - target))))
-            if not spectra.cospectral(g, build_cycle(n, c.type_j), eta):
+            if not spectra.cospectral(g, canonical, eta):
                 return False, f"cospectrality failed for n={n}, eta={eta}"
     return worst < 1e-10, f"max entrywise gap {worst:.3e} over 100 cycles"
 
@@ -146,14 +148,10 @@ def check_path_period(seed: int = 0) -> tuple[bool, str]:
 def check_cycle_period_formula(seed: int = 0) -> tuple[bool, str]:
     """Powering matches the gcd period formula on every cycle cell."""
     cells = 0
-    for n in range(3, 9):
-        for j in range(n + 1):
-            for p, q in PERIOD_ANGLE_PAIRS:
-                eta = RationalAngle(p, q)
-                tau, rep = periodicity.cycle_period_by_powering(n, j, eta)
-                if not (rep.periodic and rep.period == tau):
-                    return False, f"n={n}, j={j}, eta={eta}: formula {tau}, powering {rep.period}"
-                cells += 1
+    for n, j, (p, q), tau, rep in periodicity.cycle_period_cells(range(3, 9), PERIOD_ANGLE_PAIRS):
+        if not (rep.periodic and rep.period == tau):
+            return False, f"n={n}, j={j}, eta={RationalAngle(p, q)}: formula {tau}, powering {rep.period}"
+        cells += 1
     return True, f"formula = powering on all {cells} cells"
 
 

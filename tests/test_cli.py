@@ -17,6 +17,7 @@ from mixedwalk.graphs import (
     build_cycle,
     build_path,
     from_json_dict,
+    random_mixed_cycle,
     random_mixed_graph,
     to_json_dict,
 )
@@ -256,6 +257,19 @@ class TestCommands:
         assert payload["j"] == 2
         assert payload["moves"] == []
         assert from_json_dict(payload["canonical_graph"]) == build_cycle(5, 2)
+
+    def test_classify_cycle_output_does_not_depend_on_the_angle(self, capsys, tmp_path):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(to_json_dict(random_mixed_cycle(40, np.random.default_rng(40)))))
+        outputs = set()
+        for eta in ("pi*1/3", "pi*2/5", "0.7"):
+            assert main(["classify-cycle", "--graph", str(path), "--eta", eta]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1 and json.loads(outputs.pop())["n"] == 40
+        # the angle is still required and validated
+        assert main(["classify-cycle", "--graph", str(path), "--eta", "pi*x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot parse angle" in captured.err
 
     def test_walk_dumps_unitary(self, capsys):
         code = main(["walk", "--graph", "cycle:n=3,j=1", "--eta", "pi*1/2",

@@ -98,7 +98,7 @@ def test_shared_cycles_and_their_arc_index_are_read_only():
         g.signs = np.zeros(6, dtype=np.int8)
     # a graph made from another builds its own index, with its own signs
     assert g.underlying().arc_index.signs.tolist() == [0] * 12
-    assert np.array_equal(g.reversed_arcs().arc_index.signs, -index.signs)
+    assert np.array_equal(MixedGraph(6, edges=g.edges, signs=-g.signs).arc_index.signs, -index.signs)
     assert index.signs.tolist() == ArcIndex(g).signs.tolist() == [g.edge_sign(o, t) for o, t in index.arcs]
 
 
