@@ -37,6 +37,9 @@ WALK_OPERATORS = {"U": "evolution", "K": "boundary", "C": "coin", "S": "shift"}
 # Largest n a cycle:/path: spec may ask for; checked before any edge list
 # is built.  The gcd-formula period at this size takes about a second.
 MAX_BUILDER_VERTICES = 65_536
+# Largest graph ``spectrum`` takes, checked before any n x n array is built.
+# Its trace-recurrence charpoly is O(n^4): about 10 s on a path at this size.
+MAX_SPECTRUM_VERTICES = 512
 # Largest powering work a sweep may ask for: the sum over its cells of the
 # 2qn steps that bound a type-j cycle's search, each on an m x m power of
 # m = 2n arcs, so 2qn * (2n)^2.  The default grid asks for about 1.1e6.
@@ -145,6 +148,8 @@ def _emit(payload, fmt: str) -> None:
 
 def cmd_spectrum(args) -> int:
     graph = parse_graph(args.graph)
+    if graph.n_vertices > MAX_SPECTRUM_VERTICES:
+        raise UsageError(f"{graph.n_vertices} vertices; spectrum takes up to {MAX_SPECTRUM_VERTICES}")
     eta = parse_eta(args.eta)
     h = spectra.h_eta(graph, eta)
     spec = linalg.hermitian_eigenvalues(h)

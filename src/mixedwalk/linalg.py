@@ -39,12 +39,19 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def hermitian_defect(m) -> float:
-    """Largest entrywise deviation of a square M from its conjugate transpose."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m - m.conj().T)))
+def _square_stack(m) -> np.ndarray:
+    """``m`` as a complex square matrix or stack of them, ``(..., n, n)``."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
+def hermitian_defect(m):
+    """Largest entrywise deviation of a square M from its conjugate
+    transpose; on a stack ``(..., n, n)``, one per slice."""
+    m = _square_stack(m)
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def determinant(m) -> complex:
@@ -63,13 +70,8 @@ def charpoly(m) -> np.ndarray:
     has shape ``(..., n + 1)``, one Python loop serves the whole stack, and
     each slice is bit-identical to its own 2-D call.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
-    *batch, rows, n = m.shape
-    if rows != n:
-        raise DimensionError(f"expected square matrices, got shape {m.shape}")
-    batch = tuple(batch)
+    m = _square_stack(m)
+    batch, n = m.shape[:-2], m.shape[-1]
     coeffs = np.zeros(batch + (n + 1,), dtype=complex)
     coeffs[..., n] = 1.0
     # Two contiguous buffers take turns as the product's input and output;
@@ -124,27 +126,30 @@ class Spectrum:
         return [v.real for v in self.expand()]
 
 
-def hermitian_eigenvalues(m) -> Spectrum:
+def hermitian_eigenvalues(m) -> Spectrum | list[Spectrum]:
     """Real eigenvalues of a Hermitian matrix (``numpy.linalg.eigvalsh``).
 
     The input must be Hermitian to ``HERMITICITY_TOL``.  Eigenvalues are
     grouped into multiplicities with ``EIGENVALUE_GROUP_TOL`` and their sum
-    is checked against the trace.
+    is checked against the trace.  A stack ``(..., n, n)`` takes one
+    ``eigvalsh`` call and gives a list of spectra, one per slice in C order,
+    each gated on its own and equal to its slice's own call.
     """
-    m = as_matrix(m)
-    _require_square(m)
+    m = _square_stack(m)
     defect = hermitian_defect(m)
-    if defect > HERMITICITY_TOL:
+    if np.any(defect > HERMITICITY_TOL):
         raise ContractViolationError(
-            f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})"
+            f"matrix is not Hermitian (defect {np.max(defect):.3e} > {HERMITICITY_TOL:.0e})"
         )
     # symmetrizing kills the sub-tolerance defect exactly
-    eigs = [float(x) for x in np.linalg.eigvalsh((m + m.conj().T) / 2.0)]
-    if abs(sum(eigs) - np.trace(m).real) > TRACE_SUM_TOL:
+    eigs = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0).reshape(-1, m.shape[-1]).tolist()
+    traces = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1).tolist()
+    if any(abs(sum(e) - t) > TRACE_SUM_TOL for e, t in zip(eigs, traces)):
         raise InternalConsistencyError(
             "eigenvalue sum drifted away from the trace"
         )
-    return Spectrum.from_values(eigs, tol=EIGENVALUE_GROUP_TOL)
+    spectra = [Spectrum.from_values(e, tol=EIGENVALUE_GROUP_TOL) for e in eigs]
+    return spectra[0] if m.ndim == 2 else spectra
 
 
 def distance_to_identity(m, floor: float = math.inf):
@@ -159,9 +164,7 @@ def distance_to_identity(m, floor: float = math.inf):
     stack ``(..., n, n)`` the result has shape ``(...)``, each entry
     bit-identical to its slice's own call.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise DimensionError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    m = _square_stack(m)
     n = m.shape[-1]
     if n == 0:
         return np.zeros(m.shape[:-2]) if m.ndim > 2 else 0.0
@@ -188,13 +191,16 @@ def unitary_defect(m) -> float:
 
 def power_stack(u, count: int) -> np.ndarray:
     """U^1 .. U^count as a ``(count, n, n)`` stack, by doubling: U^(k+1) ..
-    U^2k are U^k @ U^1 .. U^k, one batched product per doubling."""
-    u = as_matrix(u)
-    powers = np.empty((count, _require_square(u), len(u)), dtype=complex)
-    powers[0] = u
+    U^2k are U^k @ U^1 .. U^k, one batched product per doubling.  A stack
+    ``(..., n, n)`` gives ``(..., count, n, n)``, each slice bit-identical to
+    its own call."""
+    u = _square_stack(u)
+    powers = np.empty(u.shape[:-2] + (count,) + u.shape[-2:], dtype=complex)
+    powers[..., 0, :, :] = u
     k = 1
     while k < count:
-        np.matmul(powers[k - 1], powers[: min(k, count - k)], out=powers[k : 2 * k])
+        c = min(k, count - k)
+        np.matmul(powers[..., k - 1, None, :, :], powers[..., :c, :, :], out=powers[..., k : k + c, :, :])
         k *= 2
     return powers
 

@@ -60,10 +60,14 @@ class RationalAngle:
 Angle = Union[RationalAngle, float]
 
 
-def angle_radians(eta: Angle) -> float:
-    """Radians in [0, 2*pi) for either angle representation."""
+def angle_radians(eta: Angle | tuple[Angle, ...]) -> float | np.ndarray:
+    """Radians in [0, 2*pi) for either angle representation.  A tuple of A
+    angles gives them as an ``(A, 1)`` column, which broadcasts a per-angle
+    factor along a trailing axis."""
     if isinstance(eta, RationalAngle):
         return eta.radians
+    if isinstance(eta, tuple):
+        return np.array([angle_radians(e) for e in eta], dtype=float).reshape(-1, 1)
     x = math.fmod(float(eta), TWO_PI)
     if x < 0:
         x += TWO_PI
@@ -82,23 +86,33 @@ ETA_GRID: tuple[Angle, ...] = (
 )
 
 
+#: i * s for the edge signs s = 0, +1, -1 (index -1), the exponents of ``sign_phases``.
+_I_SIGNS = np.array([0.0, 1j, -1j])
+
+
+def sign_phases(eta: Angle | tuple[Angle, ...]) -> np.ndarray:
+    """e^{i s eta} for the edge signs s = 0, +1, -1 (index -1): shape ``(3,)``,
+    or ``(A, 3)`` for a tuple of A angles.  The digon entry is 1 at every
+    angle, a NaN one included."""
+    table = np.exp(angle_radians(eta) * _I_SIGNS)
+    table[..., 0] = 1.0
+    return table
+
+
 def h_eta(graph: MixedGraph, eta: Angle | tuple[Angle, ...]) -> np.ndarray:
     """Phased Hermitian adjacency matrix of a mixed graph.
 
     Entries: 1 on digons, ``e^{i eta}`` on an arc (x, y) with no reverse,
     the conjugate on the reverse position, 0 elsewhere.  Hermitian exactly,
     by construction in conjugate pairs.  A tuple of A angles gives the
-    ``(A, n, n)`` stack of their matrices.
+    ``(A, n, n)`` stack of their matrices, from the same scatter.
     """
-    etas = eta if isinstance(eta, tuple) else (eta,)
-    ws = [complex(np.exp(1j * angle_radians(e))) for e in etas]
-    # per angle the entries for signs 0, +1, -1 (index -1); reshape keeps () a (0, 3) table
-    z = np.array([(1.0, w, w.conjugate()) for w in ws], dtype=complex).reshape(-1, 3)[:, graph.signs]
-    h = np.zeros((len(etas), graph.n_vertices, graph.n_vertices), dtype=complex)
-    u, v = graph.edges.T
-    h[:, u, v] = z
-    h[:, v, u] = z.conj()
-    return h if isinstance(eta, tuple) else h[0]
+    z = sign_phases(eta).take(graph.signs, -1)
+    h = np.zeros(z.shape[:-1] + (graph.n_vertices, graph.n_vertices), dtype=complex)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]  # two column views; unpacking .T costs more
+    h[..., u, v] = z
+    h[..., v, u] = z.conj()
+    return h
 
 
 def normalized_h_eta(
@@ -170,18 +184,20 @@ def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np
     girth and over both the plain and the normalized matrix.
 
     Trees have infinite girth, so for them every coefficient is compared.
+    The underlying graph's two matrices do not depend on the angle, so they
+    are built once, at angle 0, and every angle is compared against them.
     The two graphs' matrices stay separate inputs to one ``charpoly`` call
-    on a ``(2, 2 * len(etas), n, n)`` stack, each angle's plain matrix
-    followed by its normalized one.  A NaN coefficient gives a NaN gap.
+    on an ``(A + 1, 2, n, n)`` stack, each angle's plain matrix beside its
+    normalized one, the underlying graph's last.  A NaN coefficient gives a
+    NaN gap.
     """
     n, etas = graph.n_vertices, tuple(etas)
     s = graph.girth()
     limit = n if math.isinf(s) else int(s) - 1
     # the underlying graph has the same degrees, so one scale serves both
-    h = np.stack((h_eta(graph, etas), h_eta(graph.underlying(), etas)))
-    stack = np.stack((h, normalized_h_eta(graph, etas, h)), axis=2)
-    coeffs = linalg.charpoly(stack.reshape(2, 2 * len(etas), n, n))
-    diff = coeffs[0, :, n - limit : n] - coeffs[1, :, n - limit : n]
+    h = np.concatenate((h_eta(graph, etas), h_eta(graph.underlying(), (0.0,))))
+    coeffs = linalg.charpoly(np.stack((h, normalized_h_eta(graph, etas, h)), axis=1))[..., n - limit : n]
+    diff = coeffs[:-1] - coeffs[-1]
     # hypot, as Python's abs(complex) computes it; np.abs may differ by an ulp
     gaps = np.hypot(diff.real, diff.imag)
     return gaps.reshape(len(etas), 2 * limit).max(axis=1)
@@ -198,9 +214,11 @@ def coefficients_agree_up_to_girth(graph: MixedGraph, eta: Angle) -> bool:
     return bool(coefficient_gaps_below_girth(graph, (eta,))[0] <= COSPECTRAL_TOL)
 
 
-def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle) -> bool:
+def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle | tuple[Angle, ...]) -> bool | list[bool]:
     """Equality of the sorted eigenvalues of the two phased matrices, to
-    ``COSPECTRAL_TOL`` times the larger spectral radius (at least 1).
+    ``COSPECTRAL_TOL`` times the larger spectral radius (at least 1).  A
+    tuple of A angles gives a list of A answers, from one stacked
+    ``eigvalsh`` per graph.
 
     Hermitian eigenvalues are well conditioned, while characteristic-
     polynomial coefficients grow combinatorially with n, so comparing
@@ -209,8 +227,8 @@ def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle) -> bool:
     not couple to the multiplicity-grouping tolerance.
     """
     if g1.n_vertices != g2.n_vertices:
-        return False
+        return [False] * len(eta) if isinstance(eta, tuple) else False
     a = np.linalg.eigvalsh(h_eta(g1, eta))
     b = np.linalg.eigvalsh(h_eta(g2, eta))
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return bool(np.max(np.abs(a - b)) <= COSPECTRAL_TOL * scale)
+    scale = np.maximum(np.maximum(np.abs(a).max(-1), np.abs(b).max(-1)), 1.0)
+    return (np.abs(a - b).max(-1) <= COSPECTRAL_TOL * scale).tolist()

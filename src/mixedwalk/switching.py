@@ -69,14 +69,14 @@ class SwitchingFunction:
 
 
 def apply_switching(
-    graph: MixedGraph, eta: Angle, alpha: SwitchingFunction
+    graph: MixedGraph, eta: Angle | tuple[Angle, ...], alpha: SwitchingFunction
 ) -> np.ndarray:
     """Conjugated matrix D H_eta D* with D = diag(e^{i k(v) eta}); same
-    spectrum as H_eta."""
+    spectrum as H_eta.  A tuple of A angles gives the ``(A, n, n)`` stack."""
     if len(alpha.exponents) != graph.n_vertices:
         raise DomainError("switching function size does not match the graph")
     d = np.exp(1j * angle_radians(eta) * np.asarray(alpha.exponents, dtype=float))
-    return h_eta(graph, eta) * d[:, None] * d.conj()[None, :]
+    return h_eta(graph, eta) * d[..., :, None] * d.conj()[..., None, :]
 
 
 def classify_cycle(graph: MixedGraph) -> int:

@@ -6,6 +6,12 @@ one-directional arcs, and the degree-weighted reflection coin.  Dense
 operators are built on first read.  The evolution matrix is built twice, as
 the operator product and from its entrywise formula, and the two must agree;
 that agreement is the module's core correctness gate.
+
+Only the arc phases depend on the angle.  ``time_evolution`` and
+``spectral_map_check`` also take a tuple of A angles: the boundary, the coin
+and the real part of the entrywise formula are then built once, every
+angle-dependent array gains a leading axis of length A, and each gate still
+holds per angle.  A single angle takes the same code with no leading axis.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DomainError, InternalConsistencyError
 from .graphs import ArcIndex, MixedGraph
-from .spectra import Angle, angle_radians, normalized_h_eta
+from .spectra import Angle, normalized_h_eta, sign_phases
 from . import linalg
 
 EVOLUTION_AGREEMENT_TOL = 1e-10
@@ -41,12 +47,15 @@ def _check_dense_size(m: int) -> None:
 
 @dataclass(frozen=True)
 class WalkOperators:
-    """The walk at one angle, held as its arc arrays.  The dense operators
-    K, C, S and U are built on first read, none above ``MAX_DENSE_ARCS``
-    arcs, and U only once it passes the agreement gate."""
+    """The walk at one angle, or at each of a tuple of A angles, held as its
+    arc arrays.  The dense operators K, C, S and U are built on first read,
+    none above ``MAX_DENSE_ARCS`` arcs, and U only once it passes the
+    agreement gate.  For a tuple, the phases, S and U are ``(A, m)`` and
+    ``(A, m, m)`` stacks, the powers that ``power_step`` takes and returns
+    too, while K and C, which do not depend on the angle, are built once."""
 
     graph: MixedGraph
-    eta: Angle
+    eta: Angle | tuple[Angle, ...]
 
     @property
     def arc_index(self) -> ArcIndex:
@@ -56,8 +65,8 @@ class WalkOperators:
     @cached_property
     def phases(self) -> np.ndarray:
         """e^{i theta(a)} per arc, theta = eta * s for the exact integer arc sign s:
-        a gather from the phases listed for s = 0, +1, -1 (index -1)."""
-        return np.exp(1j * angle_radians(self.eta) * np.array([0.0, 1.0, -1.0]))[self.arc_index.signs]
+        a gather from ``spectra.sign_phases``."""
+        return sign_phases(self.eta).take(self.arc_index.signs, -1)
 
     @cached_property
     def boundary(self) -> np.ndarray:
@@ -78,7 +87,7 @@ class WalkOperators:
         # t(a) of K scaled by conj K[t(a), a]
         c = k[index.terminus]
         c *= 2.0 * k[index.terminus, np.arange(len(index))].conj()[:, None]
-        c[np.diag_indices_from(c)] -= 1.0
+        c.reshape(-1)[:: len(index) + 1] -= 1.0  # the diagonal, as a strided view
         return c
 
     @cached_property
@@ -87,24 +96,25 @@ class WalkOperators:
         index = self.arc_index
         m = len(index)
         _check_dense_size(m)
-        s = np.zeros((m, m), dtype=complex)
-        s[index.inverse, np.arange(m)] = self.phases
+        s = np.zeros(self.phases.shape[:-1] + (m, m), dtype=complex)
+        s[..., index.inverse, np.arange(m)] = self.phases
         return s
 
     @cached_property
     def evolution(self) -> np.ndarray:
         """U = S C, checked against ``evolution_entrywise`` before it is
-        first returned; a gap above ``EVOLUTION_AGREEMENT_TOL`` raises."""
+        first returned; a gap above ``EVOLUTION_AGREEMENT_TOL`` at any angle
+        raises."""
         index = self.arc_index
         # S is monomial: row a of S C is row a^-1 of C times the phase S[a, a^-1]
-        u = self.coin[index.inverse]
-        u *= self.phases[index.inverse][:, None]
+        u = self.coin[index.inverse] * self.phases[..., index.inverse, None]
         gap = evolution_entrywise(self.graph, index, self.phases)
         gap -= u
-        disagreement = float(np.max(np.abs(gap))) if len(index) else 0.0
-        if disagreement > EVOLUTION_AGREEMENT_TOL:
+        disagreement = np.abs(gap).max(axis=(-2, -1), initial=0.0)  # one per angle
+        failing = disagreement[disagreement > EVOLUTION_AGREEMENT_TOL]
+        if failing.size:
             raise InternalConsistencyError(
-                f"evolution product and entrywise formula disagree by {disagreement:.3e}"
+                f"evolution product and entrywise formula disagree by {failing.max():.3e}"
             )
         return u
 
@@ -126,15 +136,18 @@ class WalkOperators:
         if self.structured_step is None:
             return acc @ self.evolution
         _, gather, runs, scale, phase = self._slot_order
-        y = acc[gather]
+        # rows first, (m, m) or (m, A, m), so that a run of slot rows is one
+        # leading slice of a 2-D view and each angle's columns ride along
+        rows = acc.swapaxes(0, -2).take(gather, 0)
+        y = rows.reshape(len(rows), -1)
         sums = y[: runs[0][1]].copy()
         for first, count in runs[1:]:
             sums[:count] += y[first : first + count]
         sums *= scale
         for first, count in runs:
             y[first : first + count] -= sums[:count]
-        y *= phase
-        return y
+        rows *= phase
+        return rows.swapaxes(0, -2)
 
     @property
     def structured_step(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
@@ -166,7 +179,7 @@ class WalkOperators:
         (read-only); per slot row, the slot row it reads (that of its arc's
         inverse); the (first row, row count) of each slot; 2/deg per ranked
         block; and -e^{-i theta(a)} per slot row, negated because the rows
-        hold x - sums.
+        hold x - sums; for a tuple of angles, (m, A, 1).
         """
         # the step applies U without reading it, so U is built and gated first
         self.evolution
@@ -184,34 +197,34 @@ class WalkOperators:
         arcs.flags.writeable = False
         inverse = index.inverse[arcs]
         gather = np.argsort(arcs)[inverse]
-        phase = -self.phases[inverse]
-        return arcs, gather, runs, (2.0 / sizes)[:, None], phase[:, None]
+        phase = -self.phases[..., inverse].T
+        return arcs, gather, runs, (2.0 / sizes)[:, None], phase[..., None]
 
 
 def evolution_entrywise(graph: MixedGraph, index: ArcIndex, phases: np.ndarray) -> np.ndarray:
     """Independent entrywise construction of the evolution matrix:
     U[a,b] = e^{-i theta(a)} (2/deg t(b) * [o(a) = t(b)] - [a = b^-1]),
-    with ``phases`` holding e^{i theta(a)} per arc.
+    with ``phases`` holding e^{i theta(a)} per arc.  Phases of shape
+    ``(A, m)`` give the ``(A, m, m)`` stack; the real bracket is built once.
 
     Evaluated by broadcasting over all arc pairs; it never forms the shift,
     the coin or a matrix product, so it stays a second route to U."""
     m = len(index)
     _check_dense_size(m)
     degrees = np.asarray(graph.degrees, dtype=float)
-    u = np.zeros((m, m), dtype=complex)
+    u = np.zeros((m, m))
     np.multiply(
         index.origin[:, None] == index.terminus[None, :],
         2.0 / degrees[index.terminus],
         out=u,
     )
     u[index.inverse, np.arange(m)] -= 1.0
-    u *= phases.conj()[:, None]
-    return u
+    return u * phases.conj()[..., :, None]
 
 
-def time_evolution(graph: MixedGraph, eta: Angle) -> WalkOperators:
-    """The walk on ``graph`` at angle ``eta``; no dense operator is built
-    until one is read."""
+def time_evolution(graph: MixedGraph, eta: Angle | tuple[Angle, ...]) -> WalkOperators:
+    """The walk on ``graph`` at angle ``eta``, or at each angle of a tuple;
+    no dense operator is built until one is read."""
     return WalkOperators(graph, eta)
 
 
@@ -225,7 +238,9 @@ class SpectralMapReport:
     trace_moment_residuals: tuple[float, ...]
 
 
-def spectral_map_check(graph: MixedGraph, eta: Angle) -> SpectralMapReport:
+def spectral_map_check(
+    graph: MixedGraph, eta: Angle | tuple[Angle, ...]
+) -> SpectralMapReport | list[SpectralMapReport]:
     """Predict the evolution spectrum from the normalized adjacency spectrum.
 
     Each normalized eigenvalue lam maps to the conjugate pair
@@ -234,18 +249,49 @@ def spectral_map_check(graph: MixedGraph, eta: Angle) -> SpectralMapReport:
     copies each.  Rather than diagonalizing the evolution matrix, the
     prediction is validated through the residuals |tr(U^k) - sum mu^k| for
     k = 1..TRACE_MOMENTS.
+
+    A tuple of A angles gives a list of A reports, one per angle, from one
+    stacked ``eigvalsh`` (``linalg.hermitian_eigenvalues``), one stacked
+    evolution and one power stack; each angle's prediction and residuals
+    are its own.  A single angle is the one-angle stack.
     """
-    ops = time_evolution(graph, eta)
-    hn = normalized_h_eta(graph, eta)
-    spec = linalg.hermitian_eigenvalues(hn)
+    etas = eta if isinstance(eta, tuple) else (eta,)
+    ops = time_evolution(graph, etas)
+    n_arcs = len(ops.arc_index)
+    predictions = [
+        _predicted_spectrum(spec, n_arcs, graph.n_vertices)
+        for spec in linalg.hermitian_eigenvalues(normalized_h_eta(graph, etas))
+    ]
+    # reading U runs the size guard and the gate before any power is formed
+    if ops.structured_step is None:
+        powers = linalg.power_stack(ops.evolution, TRACE_MOMENTS)
+    else:
+        acc = np.broadcast_to(np.eye(n_arcs, dtype=complex), ops.evolution.shape)
+        powers = []
+        for _ in range(TRACE_MOMENTS):
+            acc = ops.structured_step(acc)
+            powers.append(acc)
+        powers = np.stack(powers, axis=1)
+    # each trace sums one contiguous diagonal, in the same order at every stack size
+    traces = np.ascontiguousarray(powers.diagonal(0, -2, -1)).sum(axis=-1)
+    reports = []
+    for (spectrum, m_plus, m_minus), row in zip(predictions, traces):
+        values, mults = np.array(spectrum.pairs).T
+        moments = (mults * values ** np.arange(1, TRACE_MOMENTS + 1)[:, None]).sum(axis=1)
+        residuals = tuple(float(r) for r in np.abs(row - moments))
+        reports.append(SpectralMapReport(spectrum, m_plus, m_minus, residuals))
+    return reports if isinstance(eta, tuple) else reports[0]
+
+
+def _predicted_spectrum(spec: linalg.Spectrum, n_arcs: int, n_vertices: int):
+    """The predicted evolution spectrum for one normalized spectrum, with its
+    flat +1 and -1 multiplicities."""
     lams = spec.real_values()
     for lam in lams:
         if abs(lam) > 1.0 + SPECTRAL_CLAMP_TOL:
             raise ContractViolationError(
                 f"normalized eigenvalue {lam} exceeds the unit interval"
             )
-    n_arcs = len(ops.arc_index)
-    n_vertices = graph.n_vertices
     group = linalg.EIGENVALUE_GROUP_TOL
     dim_ker_plus = sum(1 for lam in lams if abs(lam - 1.0) <= group)
     dim_ker_minus = sum(1 for lam in lams if abs(lam + 1.0) <= group)
@@ -265,23 +311,4 @@ def spectral_map_check(graph: MixedGraph, eta: Angle) -> SpectralMapReport:
         else:
             phi = math.acos(min(1.0, max(-1.0, lam)))
             predicted.extend([complex(np.exp(1j * phi)), complex(np.exp(-1j * phi))])
-    spectrum = linalg.Spectrum.from_values(predicted, tol=1e-9)
-
-    # reading U runs the size guard and the gate before any power is formed
-    if ops.structured_step is None:
-        traces = np.trace(linalg.power_stack(ops.evolution, TRACE_MOMENTS), axis1=1, axis2=2)
-    else:
-        acc = np.eye(len(ops.evolution), dtype=complex)
-        traces = []
-        for _ in range(TRACE_MOMENTS):
-            acc = ops.structured_step(acc)
-            traces.append(np.trace(acc))
-    values, mults = np.array(spectrum.pairs).T
-    moments = (mults * values ** np.arange(1, TRACE_MOMENTS + 1)[:, None]).sum(axis=1)
-    residuals = [float(r) for r in np.abs(np.asarray(traces) - moments)]
-    return SpectralMapReport(
-        predicted=spectrum,
-        m_plus_1=m_plus,
-        m_minus_1=m_minus,
-        trace_moment_residuals=tuple(residuals),
-    )
+    return linalg.Spectrum.from_values(predicted, tol=1e-9), m_plus, m_minus

@@ -95,6 +95,24 @@ class TestParseGraph:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_spectrum_size_bound_is_checked_before_any_matrix(self, monkeypatch, capsys):
+        # the path:n=200 and cycle:n=300 probes stay inside the bound
+        assert cli.MAX_SPECTRUM_VERTICES >= 400
+        assert main(["spectrum", "--graph", "cycle:n=8,j=3", "--eta", "pi*1/3"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_SPECTRUM_VERTICES", 7)
+
+        def refuse(*args):
+            raise AssertionError("a matrix was built above the bound")
+
+        monkeypatch.setattr(cli.spectra, "h_eta", refuse)
+        for spec in ("cycle:n=8,j=3", "path:n=8", "path:n=65536"):
+            assert main(["spectrum", "--graph", spec, "--eta", "pi*1/3"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "up to 7" in err
+
 
 class TestCachedParser:
     SEQUENCE = [

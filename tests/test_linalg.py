@@ -283,6 +283,37 @@ def test_power_stack_is_the_successive_powers():
     assert linalg.power_stack(np.zeros((0, 0)), 4).shape == (4, 0, 0)
 
 
+def test_power_stack_of_a_stack_equals_each_slice_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for batch in ((3,), (2, 2), (1,)):
+        qs = np.stack([np.linalg.qr(random_complex(rng, 5))[0] for _ in range(int(np.prod(batch)))])
+        qs = qs.reshape(batch + (5, 5))
+        for count in (1, 3, 10):
+            stack = linalg.power_stack(qs, count)
+            assert stack.shape == batch + (count, 5, 5)
+            for idx in np.ndindex(*batch):
+                assert np.array_equal(stack[idx], linalg.power_stack(qs[idx], count))
+    assert linalg.power_stack(np.zeros((0, 5, 5)), 4).shape == (0, 4, 5, 5)
+    with pytest.raises(DimensionError):
+        linalg.power_stack(np.zeros((2, 3, 4)), 2)
+
+
+def test_hermitian_eigenvalues_of_a_stack_equal_each_slice():
+    rng = np.random.default_rng(18)
+    hs = [h_eta(random_mixed_tree(6, rng), RationalAngle(1, 5)) for _ in range(4)]
+    hs += [h_eta(build_cycle(6, 2), eta) for eta in (0.3, RationalAngle(2, 3))]
+    spectra = linalg.hermitian_eigenvalues(np.stack(hs))
+    assert spectra == [linalg.hermitian_eigenvalues(h) for h in hs]
+    assert linalg.hermitian_eigenvalues(np.zeros((0, 4, 4))) == []
+    assert linalg.hermitian_defect(np.stack(hs)).tolist() == [0.0] * len(hs)
+    # one non-Hermitian slice fails the whole stack
+    bad = np.stack(hs)
+    bad[2, 0, 1] += 1e-6
+    assert linalg.hermitian_defect(bad)[2] > linalg.HERMITICITY_TOL
+    with pytest.raises(ContractViolationError):
+        linalg.hermitian_eigenvalues(bad)
+
+
 def test_unitary_defect_is_the_difference_formula_bit_for_bit():
     rng = np.random.default_rng(16)
     cases = [np.linalg.qr(random_complex(rng, n))[0] for n in (1, 2, 5, 16, 33)]

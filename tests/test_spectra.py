@@ -283,6 +283,24 @@ class TestStackedBuild:
             assert coefficient_gaps_below_girth(g, ETA_GRID).tobytes() == gaps_by_angle_loop(g, ETA_GRID).tobytes()
 
 
+class TestSignPhases:
+    def test_the_pair_of_one_exponential_bit_for_bit(self):
+        # the table h_eta scatters: 1, e^{i eta} and its conjugate, as an
+        # edge-by-edge build forms them from one complex exponential
+        rng = np.random.default_rng(23)
+        etas = ETA_GRID + tuple(rng.uniform(-20.0, 20.0, 500).tolist())
+        etas += tuple(RationalAngle(p, q) for q in range(1, 13) for p in range(2 * q))
+        for eta, row in zip(etas, spectra.sign_phases(etas)):
+            w = complex(np.exp(1j * angle_radians(eta)))
+            assert row.tobytes() == np.array([1.0, w, w.conjugate()]).tobytes()
+            assert row.tobytes() == spectra.sign_phases(eta).tobytes()
+        assert spectra.sign_phases(()).shape == (0, 3)
+
+    def test_digons_stay_one_at_a_nan_angle(self):
+        table = spectra.sign_phases(math.nan)
+        assert table[0] == 1.0 and np.isnan(table[1:]).all()
+
+
 class TestCoefficientGaps:
     def graphs(self):
         rng = np.random.default_rng(5)
@@ -304,9 +322,10 @@ class TestCoefficientGaps:
         monkeypatch.setattr(spectra, "h_eta", lambda g, eta: built.append(eta) or plain(g, eta))
         g = random_unicyclic(9, np.random.default_rng(3))
         gaps = coefficient_gaps_below_girth(g, ETA_GRID)
-        # one stack over every angle for the graph, then one for its
-        # underlying graph; the normalized matrices reuse them
-        assert built == [ETA_GRID, ETA_GRID]
+        # one stack over every angle for the graph, then one one-angle stack
+        # for its underlying graph, whose matrices do not depend on the
+        # angle; the normalized matrices reuse them
+        assert built == [ETA_GRID, (0.0,)]
         monkeypatch.undo()
         assert gaps.tolist() == [gap_by_coefficient(g, eta) for eta in ETA_GRID]
         for eta in ETA_GRID:
@@ -347,6 +366,22 @@ class TestCospectral:
     def test_types_one_and_two_differ_at_quarter_turn(self):
         eta = RationalAngle(1, 2)
         assert not cospectral(build_cycle(4, 1), build_cycle(4, 2), eta)
+
+    def test_a_tuple_gives_the_answer_of_each_angle(self):
+        rng = np.random.default_rng(29)
+        pairs = [(build_cycle(4, 1), build_cycle(4, 3)), (build_cycle(4, 1), build_cycle(4, 2))]
+        graphs = (random_mixed_tree(9, rng), random_unicyclic(8, rng), random_mixed_graph(9, rng))
+        pairs += [(g, g.underlying()) for g in graphs + (random_mixed_graph(20, rng, 0.3),)]
+        pairs += [(all_digon_path(7), all_digon_path(7)), (build_cycle(6, 2), build_cycle(5, 2))]
+        etas = ETA_GRID + (RationalAngle(3, 4), 2.5)
+        answers = set()
+        for g1, g2 in pairs:
+            got = cospectral(g1, g2, etas)
+            assert got == [cospectral(g1, g2, eta) for eta in etas]
+            assert all(type(x) is bool for x in got)
+            assert cospectral(g1, g2, ()) == []
+            answers.update(got)
+        assert answers == {True, False}
 
     def test_different_sizes_are_never_cospectral(self):
         assert not cospectral(build_cycle(4, 0), build_cycle(5, 0), 0.0)

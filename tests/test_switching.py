@@ -3,7 +3,14 @@ import pytest
 
 from mixedwalk import linalg, switching
 from mixedwalk.errors import DomainError, MoveNotApplicableError
-from mixedwalk.graphs import MixedGraph, build_cycle, build_path, random_mixed_cycle
+from mixedwalk.graphs import (
+    MixedGraph,
+    build_cycle,
+    build_path,
+    random_mixed_cycle,
+    random_mixed_graph,
+    random_mixed_tree,
+)
 from mixedwalk.spectra import ETA_GRID, RationalAngle, cospectral, det_cycle_closed, h_eta
 from mixedwalk.switching import (
     SW2,
@@ -38,6 +45,20 @@ def conjugated_and_relabeled(graph, result, eta):
 
 
 class TestApplySwitching:
+    def test_a_tuple_gives_the_stack_of_each_angle_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        etas = ETA_GRID + (RationalAngle(5, 7), -2.0)
+        graphs = [random_mixed_cycle(n, rng) for n in (3, 6, 11)] + [build_cycle(7, 0)]
+        graphs += [random_mixed_graph(n, rng) for n in (5, 20)] + [random_mixed_tree(9, rng)]
+        for g in graphs:
+            n = g.n_vertices
+            alpha = SwitchingFunction(tuple(rng.integers(-3, 4, n).tolist()))
+            stack = apply_switching(g, etas, alpha)
+            assert stack.shape == (len(etas), n, n)
+            for eta, m in zip(etas, stack):
+                assert m.tobytes() == apply_switching(g, eta, alpha).tobytes()
+            assert apply_switching(g, (), alpha).shape == (0, n, n)
+
     def test_identity_function_is_noop(self):
         g = build_cycle(5, 2)
         eta = RationalAngle(1, 3)

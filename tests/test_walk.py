@@ -305,6 +305,77 @@ def corrupt_one_phase(monkeypatch):
     monkeypatch.setattr(walk, "evolution_entrywise", corrupted)
 
 
+def graphs_for_angle_stacks():
+    """Canonical cycles, random graphs (one of at least 72 arcs), trees and
+    an all-digon graph."""
+    rng = np.random.default_rng(21)
+    graphs = [build_cycle(6, 2), build_cycle(5, 0), build_cycle(36, 7), MixedGraph(2, ((0, 1),))]
+    graphs += [random_mixed_graph(n, rng) for n in (4, 9)] + [random_mixed_graph(20, rng, 0.3)]
+    graphs += [random_mixed_tree(n, rng) for n in (2, 7, 40)]
+    graphs.append(build_path(6, ["digon"] * 5))
+    assert max(len(g.arc_index) for g in graphs) >= STRUCTURED_STEP_MIN_ARCS
+    return graphs
+
+
+STACK_ANGLES = ETA_GRID + (RationalAngle(3, 7), 2.5)
+
+
+class TestAngleStacks:
+    """Each tuple mode equals its per-angle calls bit for bit."""
+
+    def test_operators_equal_each_angle(self):
+        for g in graphs_for_angle_stacks():
+            stacked = time_evolution(g, STACK_ANGLES)
+            m = len(g.arc_index)
+            assert stacked.evolution.shape == stacked.shift.shape == (len(STACK_ANGLES), m, m)
+            for k, eta in enumerate(STACK_ANGLES):
+                single = time_evolution(g, eta)
+                for name in ("phases", "shift", "evolution"):
+                    assert np.array_equal(getattr(stacked, name)[k], getattr(single, name)), (g, eta, name)
+                for name in ("boundary", "coin"):
+                    assert np.array_equal(getattr(stacked, name), getattr(single, name))
+
+    def test_empty_tuple(self):
+        for g in (build_cycle(6, 2), build_cycle(36, 7)):
+            m = len(g.arc_index)
+            ops = time_evolution(g, ())
+            assert ops.phases.shape == (0, m) and ops.evolution.shape == (0, m, m)
+            assert spectral_map_check(g, ()) == []
+
+    def test_structured_step_of_a_stack_equals_each_angle(self):
+        rng = np.random.default_rng(22)
+        for g in graphs_for_angle_stacks():
+            if len(g.arc_index) < STRUCTURED_STEP_MIN_ARCS:
+                continue
+            m = len(g.arc_index)
+            stacked = time_evolution(g, STACK_ANGLES)
+            x = rng.normal(size=(len(STACK_ANGLES), m, m)) + 1j * rng.normal(size=(len(STACK_ANGLES), m, m))
+            y = stacked.power_step(x)
+            for k, eta in enumerate(STACK_ANGLES):
+                assert np.array_equal(y[k], time_evolution(g, eta).power_step(x[k]))
+
+    def test_spectral_map_reports_equal_each_angle(self):
+        for g in graphs_for_angle_stacks():
+            reports = spectral_map_check(g, STACK_ANGLES)
+            assert reports == [spectral_map_check(g, eta) for eta in STACK_ANGLES], g
+            assert max(max(r.trace_moment_residuals) for r in reports) < 1e-7
+
+    def test_phase_corrupted_at_one_angle_fails_the_gate(self, monkeypatch):
+        entrywise = walk.evolution_entrywise
+
+        def corrupted(graph, index, phases):
+            phases = phases.copy()
+            phases[3, int(np.flatnonzero(phases[3] != 1.0)[0])] *= np.exp(0.1j)
+            return entrywise(graph, index, phases)
+
+        monkeypatch.setattr(walk, "evolution_entrywise", corrupted)
+        for g in (four_vertex_example(), build_cycle(40, 3)):
+            with pytest.raises(InternalConsistencyError):
+                time_evolution(g, STACK_ANGLES).evolution
+            with pytest.raises(InternalConsistencyError):
+                spectral_map_check(g, STACK_ANGLES)
+
+
 class TestDenseOnRead:
     def test_closed_form_period_never_builds_u(self, monkeypatch):
         def refuse(*args):
