@@ -215,14 +215,7 @@ def cmd_period(args) -> int:
     graph = parse_graph(args.graph)
     eta = parse_eta(args.eta)
     report = periodicity.period_of(graph, eta, cap=args.cap)
-    payload = {
-        "periodic": report.periodic,
-        "period": report.period,
-        "method": report.method,
-        "cap_used": report.cap_used,
-        "cross_check": report.cross_check,
-        "residual": report.residual,
-    }
+    payload = dict(vars(report))  # the report's fields, in declaration order
     if not isinstance(eta, RationalAngle):
         hint = periodicity.detect_rational_angle(float(eta))
         # Advisory only; a float match never upgrades to the closed form.
@@ -307,11 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mixedwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True, eta=True):
-        if graph:
-            p.add_argument("--graph", required=True, help="JSON file or cycle:n=8,j=3 / path:n=5[,orient=fbd..]")
-        if eta:
-            p.add_argument("--eta", required=True, help="angle as pi*p/q or decimal radians")
+    def add_common(p):
+        p.add_argument("--graph", required=True, help="JSON file or cycle:n=8,j=3 / path:n=5[,orient=fbd..]")
+        p.add_argument("--eta", required=True, help="angle as pi*p/q or decimal radians")
         p.add_argument("--format", choices=("json", "pretty"), default="json")
 
     p = sub.add_parser("spectrum", help="matrix invariants of a mixed graph")

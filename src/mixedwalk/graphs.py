@@ -45,8 +45,9 @@ def _id_pairs(pairs) -> np.ndarray:
 class MixedGraph:
     """Immutable mixed graph on vertices ``0..n_vertices-1``, built from
     ``arcs``, pairs ``(origin, terminus)`` with a digon as both directions
-    (a repeated arc counts once), or from ``edges`` and ``signs`` as
-    ``from_edge_signs`` reads them (an arc given twice is an error).
+    (a repeated arc counts once), or from ``edges`` and ``signs``, the edge
+    (u, v) realized as the arc u -> v for sign +1, the arc v -> u for -1 and
+    a digon for 0 (an arc given twice is an error).
     Non-integer ids, self-loops, out-of-range endpoints and weakly
     disconnected graphs are rejected."""
 
@@ -284,12 +285,6 @@ EDGE_SIGN = {FORWARD: 1, BACKWARD: -1, DIGON: 0}
 _DRAWN_SIGN = np.array((1, -1, 0), dtype=np.int8)
 
 
-def from_edge_signs(n: int, edges, signs) -> MixedGraph:
-    """Mixed graph with edge (u, v) realized as the arc u -> v for sign +1,
-    the arc v -> u for -1, and a digon for 0."""
-    return MixedGraph(n, edges=edges, signs=signs)
-
-
 def _cycle_edges(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
@@ -317,7 +312,7 @@ def build_cycle(n: int, j: int) -> MixedGraph:
 
 @lru_cache(maxsize=CYCLE_MEMO_SIZE)
 def _canonical_cycle(n: int, j: int) -> MixedGraph:
-    return from_edge_signs(n, _cycle_edges(n), [1] * j + [0] * (n - j))
+    return MixedGraph(n, edges=_cycle_edges(n), signs=[1] * j + [0] * (n - j))
 
 
 def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
@@ -329,7 +324,7 @@ def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
     unknown = [symbol for symbol in orientation if symbol not in EDGE_SIGN]
     if unknown:
         raise InvalidGraphError(f"unknown orientation symbol {unknown[0]!r}")
-    return from_edge_signs(n, _path_edges(n), [EDGE_SIGN[symbol] for symbol in orientation])
+    return MixedGraph(n, edges=_path_edges(n), signs=[EDGE_SIGN[symbol] for symbol in orientation])
 
 
 JSON_FIELDS = ("n", "arcs", "edges")
@@ -370,7 +365,7 @@ def _randomly_oriented(n: int, edges: list[tuple[int, int]], rng) -> MixedGraph:
     """Orient each edge by one draw of the whole vector, in edge order; it
     yields the same values, and leaves ``rng`` in the same state, as one
     scalar draw per edge."""
-    return from_edge_signs(n, edges, _DRAWN_SIGN[rng.integers(0, 3, size=len(edges))])
+    return MixedGraph(n, edges=edges, signs=_DRAWN_SIGN[rng.integers(0, 3, size=len(edges))])
 
 
 def random_mixed_path(n: int, rng) -> MixedGraph:

@@ -26,19 +26,6 @@ TRACE_SUM_TOL = 1e-9
 RENORMALIZE_EVERY = 64
 
 
-def as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    return a
-
-
-def _require_square(m: np.ndarray) -> int:
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[0]
-
-
 def _square_stack(m) -> np.ndarray:
     """``m`` as a complex square matrix or stack of them, ``(..., n, n)``."""
     m = np.asarray(m, dtype=complex)
@@ -56,8 +43,9 @@ def hermitian_defect(m):
 
 def determinant(m) -> complex:
     """Determinant by LAPACK's LU factorization (``numpy.linalg.det``)."""
-    m = as_matrix(m)
-    _require_square(m)
+    m = _square_stack(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {m.shape}")
     return complex(np.linalg.det(m))
 
 
@@ -181,12 +169,12 @@ def distance_to_identity(m, floor: float = math.inf):
 
 
 def unitary_defect(m) -> float:
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0.0
+    m = _square_stack(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {m.shape}")
     product = m @ m.conj().T
     product.reshape(-1)[:: len(m) + 1] -= 1.0  # M M* - I, in place on the diagonal
-    return float(np.max(np.abs(product)))
+    return float(np.abs(product).max(initial=0.0))
 
 
 def power_stack(u, count: int) -> np.ndarray:
@@ -211,6 +199,7 @@ def project_to_unitary(m) -> np.ndarray:
     Used to renormalize long power chains; a single step is plenty when the
     drift is small.
     """
-    m = as_matrix(m)
-    _require_square(m)
+    m = _square_stack(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {m.shape}")
     return (m + np.linalg.inv(m.conj().T)) / 2.0

@@ -148,8 +148,8 @@ def certify_period(u, tau: int) -> tuple[bool, float]:
 
 
 def _unitary(u) -> np.ndarray:
-    u = linalg.as_matrix(u)
-    defect = linalg.unitary_defect(u)
+    u = linalg._square_stack(u)
+    defect = linalg.unitary_defect(u)  # which refuses a stack
     if not defect <= linalg.UNITARY_TOL:  # a NaN defect fails too
         raise ContractViolationError(f"matrix is not unitary (defect {defect:.3e})")
     return u

@@ -10,6 +10,7 @@ paths and canonical mixed cycles, and tests cospectrality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -36,15 +37,19 @@ class RationalAngle:
     q: int
 
     def __post_init__(self):
-        if self.q == 0:
+        try:  # operator.index refuses floats and strings, never truncates; a bool passes it
+            if isinstance(self.p, bool) or isinstance(self.q, bool):
+                raise TypeError
+            p, q = operator.index(self.p), operator.index(self.q)
+        except TypeError:
+            raise DomainError(f"rational angle needs integers p and q, got {self.p!r} and {self.q!r}") from None
+        if q == 0:
             raise DomainError("rational angle needs q != 0")
-        p, q = int(self.p), int(self.q)
         if q < 0:
             p, q = -p, -q
-        g = math.gcd(p, q)
-        if g:
-            p //= g
-            q //= g
+        g = math.gcd(p, q)  # at least 1, since q != 0
+        p //= g
+        q //= g
         p %= 2 * q
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -163,18 +168,14 @@ def cycle_charpoly_closed(n: int, j: int, eta: Angle) -> np.ndarray:
     """Characteristic polynomial of the type-j mixed cycle, low-to-high coefficients.
 
     The lambda^(n-2k) coefficients are the signed matching counts of the
-    undirected cycle; only the constant term feels the angle, and it stays
-    consistent with ``det_cycle_closed`` through c_0 = (-1)^n det.
+    undirected cycle; only the constant term feels the angle, and it is
+    c_0 = (-1)^n det, with det from ``det_cycle_closed``.
     """
-    if n < 3:
-        raise DomainError(f"cycle charpoly needs n >= 3, got {n}")
-    if not 0 <= j <= n:
-        raise DomainError(f"cycle type j={j} outside 0..{n}")
+    constant = (-1) ** n * det_cycle_closed(n, j, eta)  # it checks n and j before any array is built
     coeffs = np.zeros(n + 1, dtype=complex)
     for k in range((n - 1) // 2 + 1):
         coeffs[n - 2 * k] = (-1) ** k * _cycle_matching_count(n, k)
-    tail = 0 if n % 2 == 1 else 2 * (-1) ** ((n // 2) % 2)
-    coeffs[0] += -2.0 * math.cos(j * angle_radians(eta)) + tail
+    coeffs[0] = constant
     return coeffs
 
 
@@ -188,8 +189,8 @@ def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np
     are built once, at angle 0, and every angle is compared against them.
     The two graphs' matrices stay separate inputs to one ``charpoly`` call
     on an ``(A + 1, 2, n, n)`` stack, each angle's plain matrix beside its
-    normalized one, the underlying graph's last.  A NaN coefficient gives a
-    NaN gap.
+    normalized one, the underlying graph's last.  Agreement is a gap at most
+    ``COSPECTRAL_TOL``; a NaN coefficient gives a NaN gap, which is not.
     """
     n, etas = graph.n_vertices, tuple(etas)
     s = graph.girth()
@@ -201,17 +202,6 @@ def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np
     # hypot, as Python's abs(complex) computes it; np.abs may differ by an ulp
     gaps = np.hypot(diff.real, diff.imag)
     return gaps.reshape(len(etas), 2 * limit).max(axis=1)
-
-
-def coefficients_agree_up_to_girth(graph: MixedGraph, eta: Angle) -> bool:
-    """Whether the characteristic polynomial of the graph matches its
-    underlying graph's on every coefficient of lambda^(n-l) for l below the
-    girth, for both the plain and the normalized matrix, to
-    ``COSPECTRAL_TOL``.  A NaN gap is disagreement.
-
-    Trees have infinite girth, so for them this is full cospectrality.
-    """
-    return bool(coefficient_gaps_below_girth(graph, (eta,))[0] <= COSPECTRAL_TOL)
 
 
 def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle | tuple[Angle, ...]) -> bool | list[bool]:

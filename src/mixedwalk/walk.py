@@ -100,15 +100,25 @@ class WalkOperators:
         s[..., index.inverse, np.arange(m)] = self.phases
         return s
 
-    @cached_property
+    @property
     def evolution(self) -> np.ndarray:
         """U = S C, checked against ``evolution_entrywise`` before it is
         first returned; a gap above ``EVOLUTION_AGREEMENT_TOL`` at any angle
         raises."""
+        return self._gated_evolution[0]
+
+    @property
+    def evolution_gap(self) -> np.ndarray:
+        """max |entrywise - U| as the gate behind ``evolution`` measured it:
+        0-d, or one per angle for a tuple.  Reading it runs the gate."""
+        return self._gated_evolution[1]
+
+    @cached_property
+    def _gated_evolution(self) -> tuple[np.ndarray, np.ndarray]:
         index = self.arc_index
         # S is monomial: row a of S C is row a^-1 of C times the phase S[a, a^-1]
         u = self.coin[index.inverse] * self.phases[..., index.inverse, None]
-        gap = evolution_entrywise(self.graph, index, self.phases)
+        gap = evolution_entrywise(self.graph, self.phases)
         gap -= u
         disagreement = np.abs(gap).max(axis=(-2, -1), initial=0.0)  # one per angle
         failing = disagreement[disagreement > EVOLUTION_AGREEMENT_TOL]
@@ -116,7 +126,7 @@ class WalkOperators:
             raise InternalConsistencyError(
                 f"evolution product and entrywise formula disagree by {failing.max():.3e}"
             )
-        return u
+        return u, disagreement
 
     def power_step(self, acc: np.ndarray) -> np.ndarray:
         """The next power of U after ``acc``, a power of U, both held in
@@ -201,14 +211,15 @@ class WalkOperators:
         return arcs, gather, runs, (2.0 / sizes)[:, None], phase[..., None]
 
 
-def evolution_entrywise(graph: MixedGraph, index: ArcIndex, phases: np.ndarray) -> np.ndarray:
+def evolution_entrywise(graph: MixedGraph, phases: np.ndarray) -> np.ndarray:
     """Independent entrywise construction of the evolution matrix:
     U[a,b] = e^{-i theta(a)} (2/deg t(b) * [o(a) = t(b)] - [a = b^-1]),
-    with ``phases`` holding e^{i theta(a)} per arc.  Phases of shape
-    ``(A, m)`` give the ``(A, m, m)`` stack; the real bracket is built once.
+    with ``phases`` holding e^{i theta(a)} per arc of ``graph.arc_index``;
+    phases ``(A, m)`` give the ``(A, m, m)`` stack, the real bracket built once.
 
     Evaluated by broadcasting over all arc pairs; it never forms the shift,
     the coin or a matrix product, so it stays a second route to U."""
+    index = graph.arc_index
     m = len(index)
     _check_dense_size(m)
     degrees = np.asarray(graph.degrees, dtype=float)

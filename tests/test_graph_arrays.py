@@ -13,7 +13,6 @@ from mixedwalk.graphs import (
     ArcIndex,
     MixedGraph,
     build_cycle,
-    from_edge_signs,
     from_json_dict,
     random_mixed_cycle,
     random_mixed_graph,
@@ -65,9 +64,9 @@ def test_every_constructor_agrees_on_edges_signs_equality_and_hash():
         built = [
             MixedGraph(g.n_vertices, g.arcs),
             MixedGraph(g.n_vertices, list(reversed(g.arcs))),
-            from_edge_signs(g.n_vertices, g.edges.tolist(), g.signs.tolist()),
+            MixedGraph(g.n_vertices, edges=g.edges.tolist(), signs=g.signs.tolist()),
             # every edge given from its larger end, with the sign read from there
-            from_edge_signs(g.n_vertices, g.edges[:, ::-1].tolist(), (-g.signs).tolist()),
+            MixedGraph(g.n_vertices, edges=g.edges[:, ::-1].tolist(), signs=(-g.signs).tolist()),
             from_json_dict(to_json_dict(g)),
         ]
         for other in built:
@@ -75,7 +74,7 @@ def test_every_constructor_agrees_on_edges_signs_equality_and_hash():
             assert other == g and hash(other) == hash(g)
         under = g.underlying()
         assert under == MixedGraph(g.n_vertices, [(u, v) for e in g.edges.tolist() for u, v in (e, e[::-1])])
-        assert hash(under) == hash(from_edge_signs(g.n_vertices, g.edges.tolist(), [0] * len(g.edges)))
+        assert hash(under) == hash(MixedGraph(g.n_vertices, edges=g.edges.tolist(), signs=[0] * len(g.edges)))
         assert (under == g) == (not g.signs.any())
 
 
@@ -128,7 +127,7 @@ def test_arc_index_matches_sorted_symmetric_arcs():
 
 
 def test_edge_sign_reads_any_direction_and_refuses_non_edges():
-    g = from_edge_signs(4, [(2, 0), (1, 2), (3, 2)], [1, 0, -1])
+    g = MixedGraph(4, edges=[(2, 0), (1, 2), (3, 2)], signs=[1, 0, -1])
     assert g.edges.tolist() == [[0, 2], [1, 2], [2, 3]] and g.signs.tolist() == [-1, 0, 1]
     pairs = [(2, 0), (0, 2), (1, 2), (2, 3), (3, 2), (np.int64(3), np.int8(2))]
     assert [g.edge_sign(o, t) for o, t in pairs] == [1, -1, 0, 1, -1, -1]
@@ -163,26 +162,26 @@ def test_non_integer_vertex_ids_are_rejected():
 def test_edge_signs_are_checked():
     for signs in ([1, 2], [0, -2], [0.5, 0], [1], [[1], [0]]):
         with pytest.raises(InvalidGraphError):
-            from_edge_signs(3, [(0, 1), (1, 2)], signs)
+            MixedGraph(3, edges=[(0, 1), (1, 2)], signs=signs)
 
 
 def test_repeated_arcs_merge_from_arcs_and_are_refused_from_edges():
-    assert MixedGraph(2, [(0, 1), (0, 1), (1, 0)]) == from_edge_signs(2, [(0, 1)], [0])
+    assert MixedGraph(2, [(0, 1), (0, 1), (1, 0)]) == MixedGraph(2, edges=[(0, 1)], signs=[0])
     # the two arcs of a digon, given one at a time, are no repetition
-    assert from_edge_signs(2, [(0, 1), (1, 0)], [1, 1]) == from_edge_signs(2, [(0, 1)], [0])
+    assert MixedGraph(2, edges=[(0, 1), (1, 0)], signs=[1, 1]) == MixedGraph(2, edges=[(0, 1)], signs=[0])
     for edges, signs in (([(0, 1), (0, 1)], [1, 1]), ([(0, 1), (1, 0)], [0, 1]), ([(0, 1), (0, 1)], [0, 0])):
         with pytest.raises(InvalidGraphError):
-            from_edge_signs(2, edges, signs)
+            MixedGraph(2, edges=edges, signs=signs)
 
 
 def test_girth_on_large_cycles_and_cores():
     assert build_cycle(4096, 7).girth() == 4096
     # a 4,096-cycle with a pendant path: peeling leaves the cycle
     tail = [(4095 + i, 4096 + i) for i in range(50)]
-    g = from_edge_signs(4146, [(i, (i + 1) % 4096) for i in range(4096)] + tail, [0] * 4146)
+    g = MixedGraph(4146, edges=[(i, (i + 1) % 4096) for i in range(4096)] + tail, signs=[0] * 4146)
     assert g.girth() == 4096
     # two cycles of 5 and 9 joined by a path: the core is no cycle
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(4, 5), (5, 6)]
     edges += [(6 + i, 6 + (i + 1) % 9) for i in range(9)]
-    assert from_edge_signs(15, edges, [1] * len(edges)).girth() == 5
-    assert from_edge_signs(60, [(i, i + 1) for i in range(59)], [0] * 59).girth() == math.inf
+    assert MixedGraph(15, edges=edges, signs=[1] * len(edges)).girth() == 5
+    assert MixedGraph(60, edges=[(i, i + 1) for i in range(59)], signs=[0] * 59).girth() == math.inf

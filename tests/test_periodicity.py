@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixedwalk import linalg, periodicity
-from mixedwalk.errors import ContractViolationError, DomainError
+from mixedwalk.errors import ContractViolationError, DimensionError, DomainError
 from mixedwalk.graphs import (
     build_cycle,
     build_path,
@@ -66,6 +66,14 @@ class TestBruteForce:
     def test_rejects_non_unitary(self):
         with pytest.raises(ContractViolationError):
             brute_force_period(np.array([[1, 1], [0, 1]], dtype=complex), cap=5)
+
+    def test_rejects_a_non_square_isometry(self):
+        # M M* = I holds, so only the shape gate can refuse it
+        isometry = np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
+        with pytest.raises(DimensionError):
+            brute_force_period(isometry, cap=5)
+        with pytest.raises(DimensionError):
+            certify_period(isometry, 2)
 
     def test_rejects_nan(self):
         # a NaN unitarity defect compares false against the tolerance either way

@@ -18,7 +18,6 @@ from mixedwalk.spectra import (
     RationalAngle,
     angle_radians,
     coefficient_gaps_below_girth,
-    coefficients_agree_up_to_girth,
     cospectral,
     cycle_charpoly_closed,
     det_cycle_closed,
@@ -49,6 +48,19 @@ class TestRationalAngle:
     def test_rejects_zero_denominator(self):
         with pytest.raises(DomainError):
             RationalAngle(1, 0)
+
+    def test_rejects_non_integers_instead_of_truncating(self):
+        # never truncated: 1.7 is not 1, and 0.4 is no zero denominator
+        for p, q in ((1.7, 3), (1, 3.9), ("1", 3), (1, 0.4), (True, 3), (1, True), (None, 2)):
+            with pytest.raises(DomainError):
+                RationalAngle(p, q)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        for kind in (np.int8, np.int32, np.int64, np.uint16):
+            angle = RationalAngle(kind(2), kind(4))
+            assert angle == RationalAngle(1, 2)
+            assert type(angle.p) is int and type(angle.q) is int
+        assert RationalAngle(np.int64(3), -6) == RationalAngle(3, 2)
 
     def test_float_angles_normalize(self):
         assert angle_radians(-1.0) == pytest.approx(2 * math.pi - 1.0)
@@ -190,6 +202,12 @@ class TestCycleCharpoly:
                     det = det_cycle_closed(n, j, eta)
                     assert abs(coeffs[0] - (-1) ** n * det) < 1e-12
 
+    def test_constant_term_is_the_signed_determinant_exactly(self):
+        for n in range(3, 65):
+            for j in range(n + 1):
+                for eta in ETA_GRID:
+                    assert cycle_charpoly_closed(n, j, eta)[0] == (-1) ** n * det_cycle_closed(n, j, eta)
+
 
 class TestCoefficientAgreement:
     def test_mixed_trees_agree_everywhere(self):
@@ -197,17 +215,17 @@ class TestCoefficientAgreement:
         for _ in range(20):
             g = random_mixed_tree(int(rng.integers(2, 10)), rng)
             for eta in (RationalAngle(1, 3), 1.0):
-                assert coefficients_agree_up_to_girth(g, eta)
+                assert coefficient_gaps_below_girth(g, (eta,))[0] <= spectra.COSPECTRAL_TOL
 
     def test_cycle_agrees_below_girth(self):
-        assert coefficients_agree_up_to_girth(build_cycle(6, 2), RationalAngle(1, 3))
+        assert coefficient_gaps_below_girth(build_cycle(6, 2), (RationalAngle(1, 3),))[0] <= spectra.COSPECTRAL_TOL
 
     def test_fully_directed_square_breaks_at_girth(self):
         # at eta = pi/5 the determinants differ, so the last coefficient must
         # differ while everything below the girth still agrees
         eta = RationalAngle(1, 5)
         g = build_cycle(4, 4)
-        assert coefficients_agree_up_to_girth(g, eta)  # checks l <= 3 only
+        assert coefficient_gaps_below_girth(g, (eta,))[0] <= spectra.COSPECTRAL_TOL  # checks l <= 3 only
         a = linalg.charpoly(h_eta(g, eta))
         b = linalg.charpoly(h_eta(g.underlying(), eta))
         # a and b run low to high, so a[4 - l] is the coefficient of lambda^(4-l)
@@ -337,10 +355,10 @@ class TestCoefficientGaps:
         for g in self.graphs():
             for eta, gap in zip(ETA_GRID, coefficient_gaps_below_girth(g, ETA_GRID)):
                 monkeypatch.setattr(spectra, "COSPECTRAL_TOL", float(gap))
-                assert coefficients_agree_up_to_girth(g, eta)
+                assert coefficient_gaps_below_girth(g, (eta,))[0] <= spectra.COSPECTRAL_TOL
                 if gap > 0:
                     monkeypatch.setattr(spectra, "COSPECTRAL_TOL", float(np.nextafter(gap, 0.0)))
-                    assert not coefficients_agree_up_to_girth(g, eta)
+                    assert not (coefficient_gaps_below_girth(g, (eta,))[0] <= spectra.COSPECTRAL_TOL)
                     flipped += 1
         assert flipped > 0
 
@@ -350,7 +368,7 @@ class TestCoefficientGaps:
         g = build_cycle(5, 1)
         gaps = coefficient_gaps_below_girth(g, (RationalAngle(1, 3), math.nan))
         assert gaps[0] < 1e-12 and math.isnan(gaps[1])
-        assert not coefficients_agree_up_to_girth(g, math.nan)
+        assert not (coefficient_gaps_below_girth(g, (math.nan,))[0] <= spectra.COSPECTRAL_TOL)
 
 
 class TestCospectral:

@@ -200,8 +200,26 @@ class TestTimeEvolution:
             g = random_mixed_graph(int(rng.integers(2, 11)), rng)
             eta = ETA_GRID[int(rng.integers(0, len(ETA_GRID)))]
             ops = time_evolution(g, eta)
-            check = evolution_entrywise(g, ops.arc_index, ops.phases)
+            check = evolution_entrywise(g, ops.phases)
             assert np.max(np.abs(ops.evolution - check)) < 1e-12
+
+    def test_gap_is_the_gates_measurement_bit_for_bit(self):
+        # the graphs and angles of verify's evolution-entrywise-formula check
+        for seed in (0, 1, 2, 69):
+            rng = np.random.default_rng(seed)
+            for _ in range(100):
+                g = random_mixed_graph(int(rng.integers(2, 11)), rng)
+                ops = time_evolution(g, ETA_GRID[int(rng.integers(0, len(ETA_GRID)))])
+                gap = ops.evolution_gap
+                assert gap.shape == ()
+                assert gap == np.max(np.abs(ops.evolution - evolution_entrywise(g, ops.phases)))
+        for g in (build_cycle(6, 2), build_cycle(36, 7), random_mixed_graph(9, np.random.default_rng(5))):
+            ops = time_evolution(g, ETA_GRID)
+            recomputed = np.abs(ops.evolution - evolution_entrywise(g, ops.phases)).max(axis=(1, 2))
+            assert ops.evolution_gap.shape == (len(ETA_GRID),)
+            assert np.array_equal(ops.evolution_gap, recomputed)
+            for k, eta in enumerate(ETA_GRID):
+                assert ops.evolution_gap[k] == time_evolution(g, eta).evolution_gap
 
 
 class TestSpectralMap:
@@ -297,10 +315,10 @@ def corrupt_one_phase(monkeypatch):
     """Feed the entrywise route a phase turned by 0.1 rad on one arc."""
     entrywise = walk.evolution_entrywise
 
-    def corrupted(graph, index, phases):
+    def corrupted(graph, phases):
         phases = phases.copy()
         phases[int(np.flatnonzero(phases != 1.0)[0])] *= np.exp(0.1j)
-        return entrywise(graph, index, phases)
+        return entrywise(graph, phases)
 
     monkeypatch.setattr(walk, "evolution_entrywise", corrupted)
 
@@ -363,15 +381,17 @@ class TestAngleStacks:
     def test_phase_corrupted_at_one_angle_fails_the_gate(self, monkeypatch):
         entrywise = walk.evolution_entrywise
 
-        def corrupted(graph, index, phases):
+        def corrupted(graph, phases):
             phases = phases.copy()
             phases[3, int(np.flatnonzero(phases[3] != 1.0)[0])] *= np.exp(0.1j)
-            return entrywise(graph, index, phases)
+            return entrywise(graph, phases)
 
         monkeypatch.setattr(walk, "evolution_entrywise", corrupted)
         for g in (four_vertex_example(), build_cycle(40, 3)):
             with pytest.raises(InternalConsistencyError):
                 time_evolution(g, STACK_ANGLES).evolution
+            with pytest.raises(InternalConsistencyError):
+                time_evolution(g, STACK_ANGLES).evolution_gap
             with pytest.raises(InternalConsistencyError):
                 spectral_map_check(g, STACK_ANGLES)
 
@@ -392,6 +412,8 @@ class TestDenseOnRead:
         ops = time_evolution(four_vertex_example(), 0.9)
         with pytest.raises(InternalConsistencyError):
             ops.evolution
+        with pytest.raises(InternalConsistencyError):
+            time_evolution(four_vertex_example(), 0.9).evolution_gap
 
     def test_wrong_phase_fails_the_first_structured_step(self, monkeypatch):
         corrupt_one_phase(monkeypatch)
@@ -407,7 +429,7 @@ class TestDenseOnRead:
             with pytest.raises(DomainError):
                 getattr(ops, name)
         with pytest.raises(DomainError):
-            evolution_entrywise(ops.graph, ops.arc_index, ops.phases)
+            evolution_entrywise(ops.graph, ops.phases)
         with pytest.raises(DomainError):
             spectral_map_check(ops.graph, 0.5)
         assert time_evolution(build_cycle(8, 2), 0.5).evolution.shape == (16, 16)
