@@ -23,7 +23,6 @@ from .spectra import (
 )
 from .switching import (
     CycleClassification,
-    SwitchingFunction,
     apply_switching,
     canonicalize_cycle,
     classify_cycle,
@@ -54,7 +53,6 @@ __all__ = [
     "h_eta",
     "normalized_h_eta",
     "CycleClassification",
-    "SwitchingFunction",
     "apply_switching",
     "canonicalize_cycle",
     "classify_cycle",

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, periodicity, spectra, switching, verify, walk
-from .errors import DomainError, InternalConsistencyError, UsageError
+from .errors import DomainError, InternalConsistencyError, UsageError, whole
 from .graphs import (
     BACKWARD,
     DIGON,
@@ -86,7 +86,10 @@ def parse_graph(text: str) -> MixedGraph:
             key, _, value = item.partition("=")
             if not value:
                 raise UsageError(f"malformed graph field {item!r} in {text!r}")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:  # ambiguous: no value may silently win
+                raise UsageError(f"graph field {key!r} repeated in {text!r}")
+            fields[key] = value.strip()
         try:
             n = int(fields.pop("n"))
         except (KeyError, ValueError) as exc:
@@ -184,7 +187,7 @@ def cmd_classify_cycle(args) -> int:
         "j": result.type_j,
         "orientation_reversed": result.orientation_reversed,
         "moves": [[move, vertex] for move, vertex in result.moves],
-        "witness_exponents": list(result.witness.exponents),
+        "witness_exponents": list(result.witness),
         "relabeling": list(result.relabeling),
         "canonical_graph": to_json_dict(canonical),
     }
@@ -230,12 +233,14 @@ def cmd_sweep(args) -> int:
         token = token.strip()
         try:
             p_str, q_str = token.split("/", 1)
-            angles.append((int(p_str), int(q_str)))
+            p, q = int(p_str), int(q_str)
         except ValueError as exc:
             raise UsageError(f"sweep angles must be p/q pairs, got {token!r}") from exc
+        angle = RationalAngle(p, q)  # in lowest terms, as the grid computes and prints it
+        angles.append((angle.p, angle.q))
     # below n = 0 a cycle has no types, so the grid has no cells there
     sizes = range(max(args.n_min, 0), args.n_max + 1)
-    steps_per_n = 2 * sum(RationalAngle(p, q).q for p, q in angles)
+    steps_per_n = 2 * sum(q for _, q in angles)
     work = 0
     for n in sizes:
         work += (n + 1) * steps_per_n * n * (2 * n) ** 2
@@ -273,17 +278,11 @@ def cmd_verify(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise UsageError(f"expected an integer >= 1, got {text!r}")
-    return value
+    return whole(int(text), "the flag's value", 1, UsageError)
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise UsageError(f"expected an integer >= 0, got {text!r}")
-    return value
+    return whole(int(text), "the flag's value", 0, UsageError)
 
 
 class _Parser(argparse.ArgumentParser):

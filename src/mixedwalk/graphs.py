@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidGraphError
+from .errors import InvalidGraphError, whole
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -52,9 +52,7 @@ class MixedGraph:
     disconnected graphs are rejected."""
 
     def __init__(self, n_vertices: int, arcs: Iterable[tuple[int, int]] = (), *, edges=None, signs=None):
-        if isinstance(n_vertices, bool) or not isinstance(n_vertices, (int, np.integer)) or n_vertices < 1:
-            raise InvalidGraphError(f"graph needs an integer vertex count >= 1, got {n_vertices!r}")
-        n = int(n_vertices)
+        n = whole(n_vertices, "vertex count", 1, InvalidGraphError)
         ends = _id_pairs(arcs if edges is None else edges)
         # an arc (o, t) is the edge (o, t) with sign +1
         s = np.asarray(signs) if edges is not None else np.ones(len(ends), dtype=np.int8)
@@ -172,12 +170,6 @@ class MixedGraph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.adjacency))
-
-    def degree(self, x: int) -> int:
-        """Degree of ``x`` in the underlying graph."""
-        if not 0 <= x < self.n_vertices:
-            raise InvalidGraphError(f"vertex {x} out of range")
-        return self.degrees[x]
 
     def underlying(self) -> "MixedGraph":
         """Symmetrize every arc into a digon."""
@@ -297,17 +289,22 @@ def _path_edges(n: int) -> list[tuple[int, int]]:
 CYCLE_MEMO_SIZE = 256
 
 
+def cycle_shape(n: int, j: int) -> tuple[int, int]:
+    """``(n, j)`` as ints, checked as the type-j cycle on n vertices:
+    n >= 3 and 0 <= j <= n."""
+    n = whole(n, "cycle size n", 3, InvalidGraphError)
+    j = whole(j, "cycle type j", error=InvalidGraphError)
+    if not 0 <= j <= n:
+        raise InvalidGraphError(f"cycle type j={j} outside 0..{n}")
+    return n, j
+
+
 def build_cycle(n: int, j: int) -> MixedGraph:
     """Mixed cycle of type ``j``: arcs (0,1)..(j-1,j) one-directional, rest
     digons.  One graph per (n, j) is shared by every caller; it is immutable,
     and so are its cached ``arc_index`` and other derived structures."""
-    # operator.index: non-integers raise TypeError before any memo lookup
-    n, j = operator.index(n), operator.index(j)
-    if n < 3:
-        raise InvalidGraphError(f"a cycle needs n >= 3, got {n}")
-    if not 0 <= j <= n:
-        raise InvalidGraphError(f"cycle type j={j} outside 0..{n}")
-    return _canonical_cycle(n, j)
+    # checked first, so that no float or bool reaches the memo
+    return _canonical_cycle(*cycle_shape(n, j))
 
 
 @lru_cache(maxsize=CYCLE_MEMO_SIZE)
@@ -317,8 +314,7 @@ def _canonical_cycle(n: int, j: int) -> MixedGraph:
 
 def build_path(n: int, orientation: Sequence[str]) -> MixedGraph:
     """Mixed path on ``n`` vertices; edge i..i+1 realized per orientation symbol."""
-    if n < 2:
-        raise InvalidGraphError(f"a path needs n >= 2, got {n}")
+    n = whole(n, "path size n", 2, InvalidGraphError)
     if len(orientation) != n - 1:
         raise InvalidGraphError(f"orientation length {len(orientation)} != {n - 1}")
     unknown = [symbol for symbol in orientation if symbol not in EDGE_SIGN]
@@ -344,8 +340,6 @@ def from_json_dict(data: dict) -> MixedGraph:
     if unknown:
         raise InvalidGraphError(f"graph JSON has unknown fields {unknown}")
     n, arcs, edges = data.get("n"), data.get("arcs", []), data.get("edges", [])
-    if not (isinstance(n, int) and not isinstance(n, bool)):
-        raise InvalidGraphError("graph JSON needs an integer field 'n'")
     if not (isinstance(arcs, list) and isinstance(edges, list)):
         raise InvalidGraphError("graph JSON fields 'arcs' and 'edges' must be lists of pairs")
     # an arc o -> t is the edge (o, t) with sign +1, an edge a digon
@@ -369,8 +363,7 @@ def _randomly_oriented(n: int, edges: list[tuple[int, int]], rng) -> MixedGraph:
 
 
 def random_mixed_path(n: int, rng) -> MixedGraph:
-    if n < 2:
-        raise InvalidGraphError(f"a path needs n >= 2, got {n}")
+    n = whole(n, "path size n", 2, InvalidGraphError)
     return _randomly_oriented(n, _path_edges(n), rng)
 
 
@@ -387,8 +380,7 @@ def random_mixed_tree(n: int, rng) -> MixedGraph:
 
 def random_unicyclic(n: int, rng) -> MixedGraph:
     """Connected graph with exactly one cycle, random orientations."""
-    if n < 3:
-        raise InvalidGraphError("unicyclic graphs need n >= 3")
+    n = whole(n, "unicyclic graph size n", 3, InvalidGraphError)
     c = int(rng.integers(3, n + 1))
     edges = _cycle_edges(c) + [(int(rng.integers(0, i)), i) for i in range(c, n)]
     return _randomly_oriented(n, edges, rng)

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError
-from .graphs import MixedGraph, build_cycle
+from .errors import ContractViolationError, DomainError, whole
+from .graphs import MixedGraph, build_cycle, cycle_shape
 from .spectra import Angle, RationalAngle, angle_radians
 from .switching import classify_cycle
 from .walk import time_evolution
@@ -96,8 +96,7 @@ def brute_force_period(
     runs, and a power whose diagonal alone is at least as far is neither the
     period nor a closer approach.
     """
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    cap = whole(cap, "cap", 1)
     u = _unitary(u)
     size = 1 if step else max(1, min(64, cap, BLOCK_BYTES // max(16 * u.size, 1)))
     size = 1 << (size.bit_length() - 1)
@@ -134,8 +133,7 @@ def certify_period(u, tau: int) -> tuple[bool, float]:
     that is not a multiple of a period p lies at least 2 sin(pi/p)/m from
     I on m arcs, so at desk scale the verdict is the full scan's.
     """
-    if tau < 1:
-        raise DomainError(f"tau must be >= 1, got {tau}")
+    tau = whole(tau, "tau", 1)
     u = _unitary(u)
     primes = _prime_divisors(tau)
     roots = [np.linalg.matrix_power(u, tau // r) for r in primes]
@@ -168,8 +166,7 @@ def _prime_divisors(t: int) -> list[int]:
 
 def path_period(n: int) -> int:
     """Period of any mixed path on n vertices, independent of the angle."""
-    if n < 2:
-        raise DomainError(f"paths need n >= 2, got {n}")
+    n = whole(n, "path size n", 2)
     return 2 * (n - 1)
 
 
@@ -180,10 +177,7 @@ def cycle_period(n: int, j: int, eta: RationalAngle) -> int:
     period n for odd p), the period is 2qn/gcd(j, 2q) for odd p and
     qn/gcd(j, q) for even p.
     """
-    if n < 3:
-        raise DomainError(f"cycles need n >= 3, got {n}")
-    if not 0 <= j <= n:
-        raise DomainError(f"cycle type j={j} outside 0..{n}")
+    n, j = cycle_shape(n, j)
     if not isinstance(eta, RationalAngle):
         raise DomainError("the closed-form cycle period needs a rational angle")
     p, q = eta.p, eta.q

@@ -10,14 +10,13 @@ paths and canonical mixed cycles, and tests cospectrality.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
-from .graphs import MixedGraph
+from .errors import DomainError, whole
+from .graphs import MixedGraph, cycle_shape
 from . import linalg
 
 COSPECTRAL_TOL = 1e-8
@@ -37,12 +36,7 @@ class RationalAngle:
     q: int
 
     def __post_init__(self):
-        try:  # operator.index refuses floats and strings, never truncates; a bool passes it
-            if isinstance(self.p, bool) or isinstance(self.q, bool):
-                raise TypeError
-            p, q = operator.index(self.p), operator.index(self.q)
-        except TypeError:
-            raise DomainError(f"rational angle needs integers p and q, got {self.p!r} and {self.q!r}") from None
+        p, q = whole(self.p, "rational angle p"), whole(self.q, "rational angle q")
         if q == 0:
             raise DomainError("rational angle needs q != 0")
         if q < 0:
@@ -139,8 +133,7 @@ def det_path_closed(n: int) -> float:
     Zero for odd n, otherwise (-1)^(n/2 mod 2); independent of the angle.
     Parity is resolved in integer arithmetic.
     """
-    if n < 1:
-        raise DomainError(f"path determinant needs n >= 1, got {n}")
+    n = whole(n, "path size n", 1)
     if n % 2 == 1:
         return 0.0
     return float((-1) ** ((n // 2) % 2))
@@ -148,10 +141,7 @@ def det_path_closed(n: int) -> float:
 
 def det_cycle_closed(n: int, j: int, eta: Angle) -> float:
     """Closed-form determinant for the type-j mixed cycle on n vertices."""
-    if n < 3:
-        raise DomainError(f"cycle determinant needs n >= 3, got {n}")
-    if not 0 <= j <= n:
-        raise DomainError(f"cycle type j={j} outside 0..{n}")
+    n, j = cycle_shape(n, j)
     lead = 2.0 if n % 2 == 1 else -2.0  # (-1)^(n+1) * 2
     tail = 0 if n % 2 == 1 else 2 * (-1) ** ((n // 2) % 2)
     return lead * math.cos(j * angle_radians(eta)) + tail

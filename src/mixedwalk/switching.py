@@ -24,7 +24,7 @@ cycle and is computed independently of the moves as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,25 +57,15 @@ MOVES = {
 }
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """A switching as one integer exponent k(v) per vertex.
-
-    Integer exponents let composed moves accumulate without rounding; the
-    phase e^{i k(v) eta} exists only in ``apply_switching``.
-    """
-
-    exponents: tuple[int, ...]
-
-
 def apply_switching(
-    graph: MixedGraph, eta: Angle | tuple[Angle, ...], alpha: SwitchingFunction
+    graph: MixedGraph, eta: Angle | tuple[Angle, ...], exponents: Sequence[int]
 ) -> np.ndarray:
-    """Conjugated matrix D H_eta D* with D = diag(e^{i k(v) eta}); same
-    spectrum as H_eta.  A tuple of A angles gives the ``(A, n, n)`` stack."""
-    if len(alpha.exponents) != graph.n_vertices:
+    """Conjugated matrix D H_eta D* with D = diag(e^{i k(v) eta}), k(v) the
+    integer ``exponents``, one per vertex; same spectrum as H_eta.  A tuple
+    of A angles gives the ``(A, n, n)`` stack."""
+    if len(exponents) != graph.n_vertices:
         raise DomainError("switching function size does not match the graph")
-    d = np.exp(1j * angle_radians(eta) * np.asarray(alpha.exponents, dtype=float))
+    d = np.exp(1j * angle_radians(eta) * np.asarray(exponents, dtype=float))
     return h_eta(graph, eta) * d[..., :, None] * d.conj()[..., None, :]
 
 
@@ -123,16 +113,16 @@ def _cycle_from_signs(order: tuple[int, ...], signs: list[int]) -> MixedGraph:
 class CycleClassification:
     """Canonical form of a mixed cycle, the same at every angle.
 
-    At each eta, conjugating the input's H_eta by the witness
-    (``apply_switching``) and then relabeling the vertices yields H_eta of
-    the canonical type-j cycle entrywise; ``orientation_reversed`` records
-    whether the relabeling includes the reflection that maps the
-    arc-reversed canonical cycle onto itself.
+    At each eta, conjugating the input's H_eta by the witness, one integer
+    exponent per vertex (``apply_switching``), and then relabeling the
+    vertices yields H_eta of the canonical type-j cycle entrywise;
+    ``orientation_reversed`` records whether the relabeling includes the
+    reflection that maps the arc-reversed canonical cycle onto itself.
     """
 
     type_j: int
     orientation_reversed: bool
-    witness: SwitchingFunction
+    witness: tuple[int, ...]
     relabeling: tuple[int, ...]
     moves: tuple[tuple[str, int], ...]
 
@@ -175,10 +165,13 @@ def canonicalize_cycle(graph: MixedGraph) -> CycleClassification:
             push(SW4, cur)
         push(SW2, (cur + 1) % n)
 
-    # Stage two: compact the aligned arcs against the widest gap.
+    # Stage two: compact the aligned arcs against the widest gap, into one
+    # block that ends at ``front`` when they point forward and starts there
+    # when they point backward; ``t`` is the block's first edge.
     positions = [i for i, s in enumerate(signs) if s != 0]
     j = len(positions)
     direction = 0 if j == 0 else signs[positions[0]]
+    t = 0  # j = 0 or n: no gap to respect, any rotation works
     if 0 < j < n:
         front = _front_arc(positions, n, direction)
         target = front
@@ -196,15 +189,9 @@ def canonicalize_cycle(graph: MixedGraph) -> CycleClassification:
                 dist = (p - target) % n
                 for k in range(dist):
                     push(SW4, (p - k) % n)
+        t = (front - j + 1) % n if direction > 0 else front
 
     # Relabel the block onto edges 0..j-1 of the canonical cycle.
-    positions = [i for i, s in enumerate(signs) if s != 0]
-    if j == 0 or j == n:  # no gap to respect, any rotation works
-        t = 0
-    elif direction > 0:
-        t = (_front_arc(positions, n, 1) - j + 1) % n
-    else:
-        t = _front_arc(positions, n, -1)
     relabeling = [0] * n
     reversed_orientation = direction < 0
     for k in range(n):
@@ -223,7 +210,7 @@ def canonicalize_cycle(graph: MixedGraph) -> CycleClassification:
     return CycleClassification(
         type_j=j,
         orientation_reversed=reversed_orientation,
-        witness=SwitchingFunction(tuple(exponents)),
+        witness=tuple(exponents),
         relabeling=tuple(relabeling),
         moves=tuple(moves),
     )

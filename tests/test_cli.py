@@ -338,6 +338,24 @@ class TestCommands:
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and "exceeds 1e+08" in captured.err
 
+    def test_sweep_prints_each_angle_in_lowest_terms(self, capsys):
+        # 2/4 is pi/2 and 1/-2 is 3pi/2, the angles its cells compute at
+        assert main(["sweep", "--n-min", "3", "--n-max", "3", "--angles", "1/2,3/2"]) == 0
+        reduced = capsys.readouterr().out
+        assert main(["sweep", "--n-min", "3", "--n-max", "3", "--angles", "2/4,1/-2"]) == 0
+        assert capsys.readouterr().out == reduced
+        assert {tuple(row.split(",")[2:4]) for row in reduced.splitlines()[1:]} == {("1", "2"), ("3", "2")}
+
+    def test_repeated_builder_fields_exit_one(self, capsys):
+        # ambiguous specs: which n, and which orientation?
+        for spec in ("cycle:n=4,n=5", "path:n=3,orient=fb,orient=dd"):
+            with pytest.raises(UsageError):
+                parse_graph(spec)
+            assert main(["period", "--graph", spec, "--eta", "pi*1/2"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_bad_inputs_exit_one(self, capsys):
         assert main(["period", "--graph", "cycle:n=4,j=9", "--eta", "pi*1/2"]) == 1
         assert main(["period", "--graph", "cycle:n=4,j=1", "--eta", "pi*1/0"]) == 1

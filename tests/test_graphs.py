@@ -70,14 +70,31 @@ def test_build_cycle_rejects_bad_input():
 
 
 def test_shared_cycles_keep_the_input_domain():
-    # the memo is keyed after the checks, so a cached (5, 1) answers no float
+    # the memo is keyed after the checks, so a cached (5, 1) answers no float or bool
     assert build_cycle(5, 1) is build_cycle(np.int64(5), np.int8(1))
-    for n, j in ((5.0, 1), (np.float64(5), 1), (5, 1.0), ("5", 1)):
-        with pytest.raises(TypeError):
-            build_cycle(n, j)
-    for n, j in ((2, 0), (5, 6), (5, -1), (True, 1)):
+    for n, j in ((5.0, 1), (np.float64(5), 1), (5, 1.0), ("5", 1), (5, True), (True, 1), (2, 0), (5, 6), (5, -1)):
         with pytest.raises(InvalidGraphError):
             build_cycle(n, j)
+
+
+def test_builders_and_vertex_counts_refuse_non_integers():
+    rng = np.random.default_rng(0)
+    for call in (
+        lambda: build_path(2.0, ["digon"]),
+        lambda: build_path(True, []),
+        lambda: random_mixed_path(3.0, rng),
+        lambda: random_unicyclic(True, rng),
+        lambda: random_unicyclic(4.0, rng),
+        lambda: MixedGraph(2.0, ((0, 1),)),
+        lambda: MixedGraph(np.bool_(True), ()),
+        lambda: from_json_dict({"n": 2.0, "edges": [[0, 1]]}),
+        lambda: from_json_dict({"n": True, "edges": []}),
+    ):
+        with pytest.raises(InvalidGraphError):
+            call()
+    assert build_path(np.int64(3), ["digon"] * 2) == build_path(3, ["digon"] * 2)
+    assert random_mixed_path(np.int8(4), rng).n_vertices == 4
+    assert MixedGraph(np.uint16(2), ((0, 1),)).n_vertices == 2
 
 
 def test_shared_cycles_are_bounded():
@@ -156,12 +173,10 @@ def test_girth_matches_brute_force_on_random_graphs():
 
 def test_degree_examples():
     cycle = build_cycle(6, 2)
-    assert all(cycle.degree(x) == 2 for x in range(6))
+    assert all(cycle.degrees[x] == 2 for x in range(6))
     path = build_path(5, ["digon"] * 4)
-    assert path.degree(0) == 1 and path.degree(4) == 1
-    assert path.degree(2) == 2
-    with pytest.raises(InvalidGraphError):
-        path.degree(5)
+    assert path.degrees[0] == 1 and path.degrees[4] == 1
+    assert path.degrees[2] == 2
 
 
 def test_graph_validation():

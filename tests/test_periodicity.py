@@ -410,6 +410,24 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             path_period(1)
 
+    def test_sizes_types_caps_and_taus_must_be_integers(self):
+        identity = np.eye(2, dtype=complex)
+        for call in (
+            lambda: cycle_period(4.5, 1, RationalAngle(1, 2)),
+            lambda: cycle_period(4, True, RationalAngle(1, 2)),
+            lambda: path_period(2.5),
+            lambda: certify_period(identity, True),
+            lambda: certify_period(identity, 4.0),
+            lambda: brute_force_period(identity, 2.5),
+            lambda: brute_force_period(identity, True),
+        ):
+            with pytest.raises(DomainError):
+                call()
+        assert cycle_period(np.int64(4), np.int8(1), RationalAngle(1, 2)) == 16
+        assert path_period(np.int32(5)) == 8
+        assert brute_force_period(identity, np.int64(3)).period == 1
+        assert certify_period(identity, np.int16(1))[0]
+
 
 class TestPeriodicityCriterion:
     def test_float_detection_is_heuristic_only(self):

@@ -167,6 +167,22 @@ class TestCycleDeterminant:
         )
 
 
+def test_closed_forms_refuse_non_integer_sizes_and_types():
+    # a float or bool size names no graph, so it gets no answer
+    for call in (
+        lambda: det_cycle_closed(3.5, 1, 1.0),
+        lambda: det_cycle_closed(4, 1.5, 1.0),
+        lambda: det_cycle_closed(4, True, 1.0),
+        lambda: cycle_charpoly_closed(4, 1.5, 1.0),
+        lambda: det_path_closed(True),
+        lambda: det_path_closed(2.0),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    assert det_cycle_closed(np.int64(4), np.int8(1), 1.0) == det_cycle_closed(4, 1, 1.0)
+    assert det_path_closed(np.int32(4)) == 1.0
+
+
 class TestCycleCharpoly:
     def test_undirected_square(self):
         # eigenvalues of the undirected 4-cycle are {2, 0, 0, -2}
