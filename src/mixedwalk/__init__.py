@@ -9,7 +9,6 @@ from .graphs import (
     from_json_dict,
     to_json_dict,
 )
-from .linalg import Spectrum
 from .periodicity import PeriodReport, brute_force_period, certify_period, cycle_period, path_period, period_of
 from .spectra import (
     ETA_GRID,
@@ -37,7 +36,6 @@ __all__ = [
     "build_path",
     "from_json_dict",
     "to_json_dict",
-    "Spectrum",
     "PeriodReport",
     "brute_force_period",
     "certify_period",

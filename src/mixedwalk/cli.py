@@ -163,7 +163,7 @@ def cmd_spectrum(args) -> int:
         "graph": to_json_dict(graph),
         "charpoly": [_complex_json(c) for c in linalg.charpoly(h)],
         "determinant": _complex_json(det),
-        "eigenvalues": [[_complex_json(v), m] for v, m in spec.pairs],
+        "eigenvalues": [[_complex_json(v), m] for v, m in spec],
         "cospectral_with_underlying": spectra.cospectral(graph, graph.underlying(), eta),
     }
     if graph.is_cycle_graph():

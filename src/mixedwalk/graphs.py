@@ -233,6 +233,7 @@ class MixedGraph:
 
     def relabeled(self, perm: Sequence[int]) -> "MixedGraph":
         """Apply the vertex permutation ``perm`` (old label -> new label)."""
+        perm = [whole(x, "relabeling entry", error=InvalidGraphError) for x in perm]
         if sorted(perm) != list(range(self.n_vertices)):
             raise InvalidGraphError("relabeling is not a permutation")
         return MixedGraph(self.n_vertices, edges=np.asarray(perm)[self.edges].tolist(), signs=self.signs)
@@ -249,12 +250,11 @@ class ArcIndex:
         n, (u, v) = graph.n_vertices, graph.edges.T
         keys = np.concatenate((graph._keys, v * n + u))  # edge i: u -> v at i, v -> u at E + i
         order = keys.argsort()
-        self._n, self._keys = n, keys[order]
-        self.origin, self.terminus = np.divmod(self._keys, self._n)
+        self.origin, self.terminus = np.divmod(keys[order], n)
         self.signs = np.concatenate((graph.signs, -graph.signs))[order]
         # the reverse of the arc at doubled position j sits at j + E, mod 2E
         self.inverse = order.argsort()[(order + len(order) // 2) % max(len(order), 1)]
-        for array in (self._keys, self.origin, self.terminus, self.signs, self.inverse):
+        for array in (self.origin, self.terminus, self.signs, self.inverse):
             array.setflags(write=False)
 
     @cached_property
@@ -262,13 +262,7 @@ class ArcIndex:
         return tuple(zip(self.origin.tolist(), self.terminus.tolist()))
 
     def __len__(self) -> int:
-        return len(self._keys)
-
-    def index(self, arc: tuple[int, int]) -> int:
-        i = int(np.searchsorted(self._keys, arc[0] * self._n + arc[1]))
-        if i == len(self) or (self.origin[i], self.terminus[i]) != tuple(arc):
-            raise KeyError(arc)
-        return i
+        return len(self.origin)
 
 
 #: Orientation symbol -> edge sign, in the convention of ``MixedGraph.edge_sign``.
@@ -369,11 +363,13 @@ def random_mixed_path(n: int, rng) -> MixedGraph:
 
 def random_mixed_cycle(n: int, rng) -> MixedGraph:
     """Cycle on ``n`` vertices with each edge independently digon/forward/backward."""
+    n = whole(n, "cycle size n", 3, InvalidGraphError)
     return _randomly_oriented(n, _cycle_edges(n), rng)
 
 
 def random_mixed_tree(n: int, rng) -> MixedGraph:
     """Random attachment tree with random edge orientations."""
+    n = whole(n, "tree size n", 1, InvalidGraphError)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return _randomly_oriented(n, edges, rng)
 
@@ -388,6 +384,7 @@ def random_unicyclic(n: int, rng) -> MixedGraph:
 
 def random_mixed_graph(n: int, rng, extra_edge_prob: float = 0.3) -> MixedGraph:
     """Random connected mixed graph: a tree plus random chords."""
+    n = whole(n, "graph size n", 1, InvalidGraphError)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     present = set(edges)  # tree edges (parent, child) have parent < child
     pairs = ((u, v) for u in range(n) for v in range(u + 1, n))

@@ -12,7 +12,6 @@ coefficients below the girth speak about.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,50 +77,33 @@ def charpoly(m) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue multiset as (value, multiplicity) pairs, sorted by (re, im)."""
-
-    pairs: tuple[tuple[complex, int], ...]
-
-    @classmethod
-    def from_values(cls, values, tol: float = EIGENVALUE_GROUP_TOL) -> "Spectrum":
-        """Group sorted values lying within ``tol`` of their group's first
-        value, so that no group spans more than ``tol``."""
-        vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-        pairs: list[tuple[complex, int]] = []
-        group: list[complex] = []
-        for v in vals:
-            if group and abs(v - group[0]) > tol:
-                pairs.append((sum(group) / len(group), len(group)))
-                group = []
-            group.append(v)
-        if group:
+def group_values(values, tol: float) -> tuple[tuple[complex, int], ...]:
+    """An eigenvalue multiset as (value, multiplicity) pairs, sorted by
+    (re, im): sorted values lying within ``tol`` of their group's first
+    value form one group, valued at its mean, so that no group spans more
+    than ``tol``."""
+    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    pairs: list[tuple[complex, int]] = []
+    group: list[complex] = []
+    for v in vals:
+        if group and abs(v - group[0]) > tol:
             pairs.append((sum(group) / len(group), len(group)))
-        return cls(tuple(pairs))
-
-    @property
-    def total(self) -> int:
-        return sum(m for _, m in self.pairs)
-
-    def expand(self) -> list[complex]:
-        out: list[complex] = []
-        for v, m in self.pairs:
-            out.extend([v] * m)
-        return out
-
-    def real_values(self) -> list[float]:
-        return [v.real for v in self.expand()]
+            group = []
+        group.append(v)
+    if group:
+        pairs.append((sum(group) / len(group), len(group)))
+    return tuple(pairs)
 
 
-def hermitian_eigenvalues(m) -> Spectrum | list[Spectrum]:
+def hermitian_eigenvalues(m) -> tuple[tuple[complex, int], ...] | list[tuple]:
     """Real eigenvalues of a Hermitian matrix (``numpy.linalg.eigvalsh``).
 
     The input must be Hermitian to ``HERMITICITY_TOL``.  Eigenvalues are
-    grouped into multiplicities with ``EIGENVALUE_GROUP_TOL`` and their sum
-    is checked against the trace.  A stack ``(..., n, n)`` takes one
-    ``eigvalsh`` call and gives a list of spectra, one per slice in C order,
-    each gated on its own and equal to its slice's own call.
+    grouped into (value, multiplicity) pairs by ``group_values`` at
+    ``EIGENVALUE_GROUP_TOL`` and their sum is checked against the trace.  A
+    stack ``(..., n, n)`` takes one ``eigvalsh`` call and gives a list of
+    pair tuples, one per slice in C order, each gated on its own and equal
+    to its slice's own call.
     """
     m = _square_stack(m)
     defect = hermitian_defect(m)
@@ -136,7 +118,7 @@ def hermitian_eigenvalues(m) -> Spectrum | list[Spectrum]:
         raise InternalConsistencyError(
             "eigenvalue sum drifted away from the trace"
         )
-    spectra = [Spectrum.from_values(e, tol=EIGENVALUE_GROUP_TOL) for e in eigs]
+    spectra = [group_values(e, EIGENVALUE_GROUP_TOL) for e in eigs]
     return spectra[0] if m.ndim == 2 else spectra
 
 

@@ -143,8 +143,7 @@ def det_cycle_closed(n: int, j: int, eta: Angle) -> float:
     """Closed-form determinant for the type-j mixed cycle on n vertices."""
     n, j = cycle_shape(n, j)
     lead = 2.0 if n % 2 == 1 else -2.0  # (-1)^(n+1) * 2
-    tail = 0 if n % 2 == 1 else 2 * (-1) ** ((n // 2) % 2)
-    return lead * math.cos(j * angle_radians(eta)) + tail
+    return lead * math.cos(j * angle_radians(eta)) + 2 * det_path_closed(n)
 
 
 def _cycle_matching_count(n: int, k: int) -> int:
@@ -203,8 +202,8 @@ def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle | tuple[Angle, ...]) -
     Hermitian eigenvalues are well conditioned, while characteristic-
     polynomial coefficients grow combinatorially with n, so comparing
     coefficients to an absolute tolerance fails on large trees.  Raw
-    eigenvalues are compared, not a grouped ``Spectrum``, so the answer does
-    not couple to the multiplicity-grouping tolerance.
+    eigenvalues are compared, not ``linalg.group_values`` pairs, so the
+    answer does not couple to the multiplicity-grouping tolerance.
     """
     if g1.n_vertices != g2.n_vertices:
         return [False] * len(eta) if isinstance(eta, tuple) else False

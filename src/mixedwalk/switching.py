@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InternalConsistencyError, MoveNotApplicableError
+from .errors import DomainError, InternalConsistencyError, MoveNotApplicableError, whole
 from .graphs import MixedGraph, build_cycle
 from .spectra import Angle, angle_radians, h_eta
 
@@ -84,7 +84,8 @@ def named_move(graph: MixedGraph, move: str, x: int) -> MixedGraph:
     The matrix-level identity D H_eta D* = H'_eta, with the move's exponent
     bump at x, holds for every eta.
     """
-    if not 0 <= x < graph.n_vertices:
+    x = whole(x, "vertex", 0)
+    if x >= graph.n_vertices:
         raise DomainError(f"vertex {x} out of range")
     if move not in MOVES:
         raise DomainError(f"unknown move {move!r}")

@@ -243,7 +243,7 @@ def time_evolution(graph: MixedGraph, eta: Angle | tuple[Angle, ...]) -> WalkOpe
 class SpectralMapReport:
     """Predicted evolution spectrum and how well the trace moments confirm it."""
 
-    predicted: linalg.Spectrum
+    predicted: tuple[tuple[complex, int], ...]
     m_plus_1: int
     m_minus_1: int
     trace_moment_residuals: tuple[float, ...]
@@ -274,38 +274,30 @@ def spectral_map_check(
         for spec in linalg.hermitian_eigenvalues(normalized_h_eta(graph, etas))
     ]
     # reading U runs the size guard and the gate before any power is formed
-    if ops.structured_step is None:
-        powers = linalg.power_stack(ops.evolution, TRACE_MOMENTS)
-    else:
-        acc = np.broadcast_to(np.eye(n_arcs, dtype=complex), ops.evolution.shape)
-        powers = []
-        for _ in range(TRACE_MOMENTS):
-            acc = ops.structured_step(acc)
-            powers.append(acc)
-        powers = np.stack(powers, axis=1)
+    powers = linalg.power_stack(ops.evolution, TRACE_MOMENTS)
     # each trace sums one contiguous diagonal, in the same order at every stack size
     traces = np.ascontiguousarray(powers.diagonal(0, -2, -1)).sum(axis=-1)
     reports = []
     for (spectrum, m_plus, m_minus), row in zip(predictions, traces):
-        values, mults = np.array(spectrum.pairs).T
+        values, mults = np.array(spectrum).T
         moments = (mults * values ** np.arange(1, TRACE_MOMENTS + 1)[:, None]).sum(axis=1)
         residuals = tuple(float(r) for r in np.abs(row - moments))
         reports.append(SpectralMapReport(spectrum, m_plus, m_minus, residuals))
     return reports if isinstance(eta, tuple) else reports[0]
 
 
-def _predicted_spectrum(spec: linalg.Spectrum, n_arcs: int, n_vertices: int):
-    """The predicted evolution spectrum for one normalized spectrum, with its
-    flat +1 and -1 multiplicities."""
-    lams = spec.real_values()
-    for lam in lams:
+def _predicted_spectrum(spec: tuple[tuple[complex, int], ...], n_arcs: int, n_vertices: int):
+    """The predicted evolution spectrum for one normalized spectrum, both as
+    (value, multiplicity) pairs, with its flat +1 and -1 multiplicities."""
+    lams = [(v.real, m) for v, m in spec]
+    for lam, _ in lams:
         if abs(lam) > 1.0 + SPECTRAL_CLAMP_TOL:
             raise ContractViolationError(
                 f"normalized eigenvalue {lam} exceeds the unit interval"
             )
     group = linalg.EIGENVALUE_GROUP_TOL
-    dim_ker_plus = sum(1 for lam in lams if abs(lam - 1.0) <= group)
-    dim_ker_minus = sum(1 for lam in lams if abs(lam + 1.0) <= group)
+    dim_ker_plus = sum(m for lam, m in lams if abs(lam - 1.0) <= group)
+    dim_ker_minus = sum(m for lam, m in lams if abs(lam + 1.0) <= group)
     m_plus = n_arcs // 2 - n_vertices + dim_ker_plus
     m_minus = n_arcs // 2 - n_vertices + dim_ker_minus
     if m_plus < 0 or m_minus < 0:
@@ -314,12 +306,12 @@ def _predicted_spectrum(spec: linalg.Spectrum, n_arcs: int, n_vertices: int):
             f"flat eigenspace count went negative ({m_plus}, {m_minus})"
         )
     predicted: list[complex] = [1.0 + 0j] * m_plus + [-1.0 + 0j] * m_minus
-    for lam in lams:
+    for lam, m in lams:
         if abs(lam - 1.0) <= group:
-            predicted.append(1.0 + 0j)
+            predicted += [1.0 + 0j] * m
         elif abs(lam + 1.0) <= group:
-            predicted.append(-1.0 + 0j)
+            predicted += [-1.0 + 0j] * m
         else:
             phi = math.acos(min(1.0, max(-1.0, lam)))
-            predicted.extend([complex(np.exp(1j * phi)), complex(np.exp(-1j * phi))])
-    return linalg.Spectrum.from_values(predicted, tol=1e-9), m_plus, m_minus
+            predicted += [complex(np.exp(1j * phi)), complex(np.exp(-1j * phi))] * m
+    return linalg.group_values(predicted, 1e-9), m_plus, m_minus

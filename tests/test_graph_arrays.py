@@ -123,7 +123,7 @@ def test_arc_index_matches_sorted_symmetric_arcs():
         assert list(zip(index.origin.tolist(), index.terminus.tolist())) == symmetric
         assert [symmetric[i] for i in index.inverse] == [(t, o) for o, t in symmetric]
         assert index.signs.tolist() == [g.edge_sign(o, t) for o, t in symmetric]
-        assert [index.index(a) for a in symmetric] == list(range(len(symmetric)))
+        assert [index.arcs.index(a) for a in symmetric] == list(range(len(symmetric)))
 
 
 def test_edge_sign_reads_any_direction_and_refuses_non_edges():

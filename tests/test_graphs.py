@@ -97,6 +97,27 @@ def test_builders_and_vertex_counts_refuse_non_integers():
     assert MixedGraph(np.uint16(2), ((0, 1),)).n_vertices == 2
 
 
+def test_random_families_gate_their_size():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidGraphError, match="cycle size n must be >= 3"):
+        random_mixed_cycle(2, rng)
+    for family, least in ((random_mixed_cycle, 3), (random_mixed_tree, 1), (random_mixed_graph, 1)):
+        for n in (5.0, np.float64(5), "5", True, least - 1):
+            with pytest.raises(InvalidGraphError):
+                family(n, rng)
+        # a numpy integer draws the same graph as the int, from the same state
+        assert family(np.int16(6), np.random.default_rng(3)) == family(6, np.random.default_rng(3))
+
+
+def test_relabeling_reads_integer_entries_only():
+    g = MixedGraph(4, ((0, 1), (1, 2), (2, 1), (2, 3)))
+    for perm in ([True, False, 2, 3], [1.0, 0, 2, 3], [1, 0, 2, "3"]):
+        with pytest.raises(InvalidGraphError):
+            g.relabeled(perm)
+    assert g.relabeled(np.array([1, 0, 2, 3])) == g.relabeled([1, 0, 2, 3])
+    assert g.relabeled([1, 0, 2, 3]).arcs == ((0, 2), (1, 0), (2, 0), (2, 3))
+
+
 def test_shared_cycles_are_bounded():
     for n in range(3, 40):
         for j in range(n + 1):

@@ -137,6 +137,14 @@ class TestNamedMoves:
             alpha = tuple(exponents)
             assert np.max(np.abs(apply_switching(g, eta, alpha) - h_eta(rewritten, eta))) < 1e-14
 
+    def test_vertex_must_be_an_integer(self):
+        g = MixedGraph(3, ((0, 1), (2, 1), (0, 2), (2, 0)))
+        for x in (True, 1.0, np.float64(1), "1", -1, 3):
+            with pytest.raises(DomainError):
+                named_move(g, SW2, x)
+        assert named_move(g, SW2, np.int64(1)) == named_move(g, SW2, 1)
+        assert named_move(g, SW2, np.uint8(1)).edge_sign(0, 1) == 0
+
     def test_move_requires_cycle(self):
         with pytest.raises(DomainError):
             named_move(build_path(4, ["digon"] * 3), SW4, 1)
