@@ -55,7 +55,9 @@ def charpoly(m) -> np.ndarray:
     exact in exact arithmetic and adequate in double precision at this
     scale.  ``m`` may be a stack of shape ``(..., n, n)``; the result then
     has shape ``(..., n + 1)``, one Python loop serves the whole stack, and
-    each slice is bit-identical to its own 2-D call.
+    each slice is bit-identical to its own 2-D call.  On dense graphs of a
+    few hundred vertices the products overflow; the coefficients then hold
+    inf or NaN, without a warning, for the caller to refuse.
     """
     m = _square_stack(m)
     batch, n = m.shape[:-2], m.shape[-1]
@@ -68,12 +70,13 @@ def charpoly(m) -> np.ndarray:
     product = np.empty_like(am)
     am_diagonal = am.reshape(batch + (n * n,))[..., :: n + 1]
     product_diagonal = product.reshape(batch + (n * n,))[..., :: n + 1]
-    for k in range(1, n + 1):
-        am_diagonal += coeffs[..., n - k + 1, None]
-        np.matmul(m, am, out=product)
-        coeffs[..., n - k] = -np.add.reduce(product_diagonal, axis=-1) / k
-        am, product = product, am
-        am_diagonal, product_diagonal = product_diagonal, am_diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            am_diagonal += coeffs[..., n - k + 1, None]
+            np.matmul(m, am, out=product)
+            coeffs[..., n - k] = -np.add.reduce(product_diagonal, axis=-1) / k
+            am, product = product, am
+            am_diagonal, product_diagonal = product_diagonal, am_diagonal
     return coeffs
 
 
@@ -150,13 +153,15 @@ def distance_to_identity(m, floor: float = math.inf):
     return float(dist[0]) if m.ndim == 2 else dist.reshape(m.shape[:-2])
 
 
-def unitary_defect(m) -> float:
+def unitary_defect(m):
+    """Max entrywise |M M* - I|; on a stack ``(..., n, n)``, one per slice,
+    each bit-identical to its slice's own call."""
     m = _square_stack(m)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {m.shape}")
-    product = m @ m.conj().T
-    product.reshape(-1)[:: len(m) + 1] -= 1.0  # M M* - I, in place on the diagonal
-    return float(np.abs(product).max(initial=0.0))
+    n = m.shape[-1]
+    product = m @ m.conj().swapaxes(-1, -2)
+    product.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0  # M M* - I, in place on the diagonals
+    defect = np.abs(product).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if m.ndim == 2 else defect
 
 
 def power_stack(u, count: int) -> np.ndarray:

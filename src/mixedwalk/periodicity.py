@@ -11,6 +11,11 @@ reduced fraction.  Whenever a closed form fires at desk scale,
 U^(tau/r) != I for each prime r dividing tau.  The scan of every power,
 ``brute_force_period``, stays the route that discovers periods; on small
 walks it forms up to 64 powers with each batched product.
+
+A path's period does not depend on the angle, so ``period_of`` takes a
+tuple of angles and certifies a path's whole grid with one stacked
+``certify_period`` call on the stack of its walks, each verdict and
+residual bit-identical to its own angle's.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, whole
+from .errors import ContractViolationError, DimensionError, DomainError, whole
 from .graphs import MixedGraph, build_cycle, cycle_shape
 from .spectra import Angle, RationalAngle, angle_radians
 from .switching import classify_cycle
@@ -98,6 +103,8 @@ def brute_force_period(
     """
     cap = whole(cap, "cap", 1)
     u = _unitary(u)
+    if u.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {u.shape}")
     size = 1 if step else max(1, min(64, cap, BLOCK_BYTES // max(16 * u.size, 1)))
     size = 1 << (size.bit_length() - 1)
     powers = None if step else linalg.power_stack(u, size)
@@ -120,9 +127,11 @@ def brute_force_period(
     return PeriodReport(False, None, METHOD_BRUTE, cap, NOT_RUN, float(best))
 
 
-def certify_period(u, tau: int) -> tuple[bool, float]:
+def certify_period(u, tau: int) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
     """Whether ``tau`` is exactly the period of a unitary, and the identity
-    distance of u^tau.
+    distance of u^tau.  A stack ``(..., m, m)`` of unitaries, every slice
+    gated, gives a boolean and a distance array of shape ``(...)``, each
+    entry bit-identical to its slice's own call.
 
     It is when u^tau lies below ``linalg.IDENTITY_TOL`` and u^(tau/r) at or
     above it for every prime r dividing tau: the exponents that return to
@@ -139,15 +148,18 @@ def certify_period(u, tau: int) -> tuple[bool, float]:
     roots = [np.linalg.matrix_power(u, tau // r) for r in primes]
     power = np.linalg.matrix_power(roots[0], primes[0]) if primes else u
     residual = linalg.distance_to_identity(power)
-    agrees = residual < linalg.IDENTITY_TOL and all(
-        linalg.distance_to_identity(root, floor=linalg.IDENTITY_TOL) >= linalg.IDENTITY_TOL for root in roots
-    )
+    agrees = residual < linalg.IDENTITY_TOL
+    for root in roots:
+        agrees &= linalg.distance_to_identity(root, floor=linalg.IDENTITY_TOL) >= linalg.IDENTITY_TOL
     return agrees, residual
 
 
 def _unitary(u) -> np.ndarray:
+    """``u`` as a square matrix or stack, each slice unitary to ``linalg.UNITARY_TOL``."""
     u = linalg._square_stack(u)
-    defect = linalg.unitary_defect(u)  # which refuses a stack
+    defect = linalg.unitary_defect(u)
+    if u.ndim > 2:
+        defect = defect.max(initial=0.0)  # the worst slice; NaN if any is
     if not defect <= linalg.UNITARY_TOL:  # a NaN defect fails too
         raise ContractViolationError(f"matrix is not unitary (defect {defect:.3e})")
     return u
@@ -217,7 +229,9 @@ def detect_rational_angle(radians: float) -> Optional[RationalAngle]:
     return None
 
 
-def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodReport:
+def period_of(
+    graph: MixedGraph, eta: Angle | tuple[Angle, ...], cap: int = DEFAULT_CAP
+) -> PeriodReport | list[PeriodReport]:
     """Periodicity of a mixed graph's walk, preferring closed forms.
 
     Paths use the closed form for any angle; cycles use the gcd formula
@@ -226,11 +240,19 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
     straight to powering.  Closed-form answers are certified by
     ``certify_period`` whenever the arc space has at most 32 dimensions and
     the predicted period fits under the powering budget.
+
+    A tuple of A angles gives a list of A reports, each equal to its
+    angle's own.  A path's period does not depend on the angle, so its
+    walk is built once for the tuple and certified in one stacked call;
+    any other graph takes the angles one at a time.
     """
     if graph.is_path_graph():
         tau = path_period(graph.n_vertices)
         # The guaranteed return exponent is the period itself.
         return _closed_form_report(graph, eta, tau, METHOD_PATH, tau)
+
+    if isinstance(eta, tuple):
+        return [period_of(graph, e, cap) for e in eta]
 
     if graph.is_cycle_graph() and isinstance(eta, RationalAngle):
         j = classify_cycle(graph)
@@ -243,8 +265,17 @@ def period_of(graph: MixedGraph, eta: Angle, cap: int = DEFAULT_CAP) -> PeriodRe
     return brute_force_period(ops.evolution, cap, step=ops.structured_step)
 
 
-def _closed_form_report(graph: MixedGraph, eta: Angle, tau: int, method: str, cap: int) -> PeriodReport:
+def _closed_form_report(
+    graph: MixedGraph, eta: Angle | tuple[Angle, ...], tau: int, method: str, cap: int
+) -> PeriodReport | list[PeriodReport]:
+    """The closed form's report at one angle, or a list of them for a tuple."""
     if 2 * len(graph.edges) > CROSS_CHECK_MAX_ARCS or tau > DEFAULT_CAP:
-        return PeriodReport(True, tau, method, cap, NOT_RUN, None)
+        report = PeriodReport(True, tau, method, cap, NOT_RUN, None)
+        return [report] * len(eta) if isinstance(eta, tuple) else report
     agrees, residual = certify_period(time_evolution(graph, eta).evolution, tau)
+    if isinstance(eta, tuple):
+        return [
+            PeriodReport(True, tau, method, max(cap, tau), AGREE if a else DISAGREE, r)
+            for a, r in zip(agrees.tolist(), residual.tolist())
+        ]
     return PeriodReport(True, tau, method, max(cap, tau), AGREE if agrees else DISAGREE, residual)

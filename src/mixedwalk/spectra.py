@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, whole
+from .errors import DimensionError, DomainError, whole
 from .graphs import MixedGraph, cycle_shape
 from . import linalg
 
@@ -168,29 +168,50 @@ def cycle_charpoly_closed(n: int, j: int, eta: Angle) -> np.ndarray:
     return coeffs
 
 
-def coefficient_gaps_below_girth(graph: MixedGraph, etas: Sequence[Angle]) -> np.ndarray:
-    """For each angle, the largest |difference| between the graph's and its
+def coefficient_gaps_below_girth(
+    graphs: MixedGraph | Sequence[MixedGraph], etas: Sequence[Angle]
+) -> np.ndarray:
+    """For each angle, the largest |difference| between a graph's and its
     underlying graph's coefficients of lambda^(n-l), over every l below the
     girth and over both the plain and the normalized matrix.
 
     Trees have infinite girth, so for them every coefficient is compared.
     The underlying graph's two matrices do not depend on the angle, so they
     are built once, at angle 0, and every angle is compared against them.
-    The two graphs' matrices stay separate inputs to one ``charpoly`` call
-    on an ``(A + 1, 2, n, n)`` stack, each angle's plain matrix beside its
-    normalized one, the underlying graph's last.  Agreement is a gap at most
-    ``COSPECTRAL_TOL``; a NaN coefficient gives a NaN gap, which is not.
+    The two graphs' matrices stay separate slices of one ``charpoly`` input,
+    each angle's plain matrix beside its normalized one, the underlying
+    graph's last.  Agreement is a gap at most ``COSPECTRAL_TOL``; a NaN
+    coefficient gives a NaN gap, which is not.
+
+    One graph gives A gaps, from an ``(A + 1, 2, n, n)`` stack.  A sequence
+    of G graphs on n vertices each, of any girths, gives a ``(G, A)`` array
+    from one ``charpoly`` call on their ``(G, A + 1, 2, n, n)`` stack, each
+    row bit-identical to its graph's own call.
     """
-    n, etas = graph.n_vertices, tuple(etas)
-    s = graph.girth()
-    limit = n if math.isinf(s) else int(s) - 1
-    # the underlying graph has the same degrees, so one scale serves both
-    h = np.concatenate((h_eta(graph, etas), h_eta(graph.underlying(), (0.0,))))
-    coeffs = linalg.charpoly(np.stack((h, normalized_h_eta(graph, etas, h)), axis=1))[..., n - limit : n]
-    diff = coeffs[:-1] - coeffs[-1]
+    one = isinstance(graphs, MixedGraph)
+    graphs, etas = (graphs,) if one else tuple(graphs), tuple(etas)
+    n = graphs[0].n_vertices if graphs else 0
+    if any(g.n_vertices != n for g in graphs):
+        raise DimensionError("the graphs of one call must have the same number of vertices")
+    a = len(etas)
+    h = np.empty((len(graphs), a + 1, 2, n, n), dtype=complex)
+    limits = np.empty(len(graphs), dtype=int)
+    for i, g in enumerate(graphs):
+        s = g.girth()
+        limits[i] = n if math.isinf(s) else int(s) - 1
+        h[i, :a, 0] = h_eta(g, etas)
+        h[i, a:, 0] = h_eta(g.underlying(), (0.0,))
+        # the underlying graph has the same degrees, so one scale serves both
+        h[i, :, 1] = normalized_h_eta(g, etas, h[i, :, 0])
+    coeffs = linalg.charpoly(h)[..., :n]
+    diff = coeffs[:, :-1] - coeffs[:, -1:]
     # hypot, as Python's abs(complex) computes it; np.abs may differ by an ulp
     gaps = np.hypot(diff.real, diff.imag)
-    return gaps.reshape(len(etas), 2 * limit).max(axis=1)
+    # only the coefficients of lambda^(n-l) with l below the girth count; the
+    # others read 0, at most any gap, and a NaN among the kept ones stays
+    below = np.arange(n) >= n - limits[:, None, None, None]
+    gaps = np.where(below, gaps, 0.0).max(axis=(2, 3), initial=0.0)
+    return gaps[0] if one else gaps
 
 
 def cospectral(g1: MixedGraph, g2: MixedGraph, eta: Angle | tuple[Angle, ...]) -> bool | list[bool]:

@@ -46,21 +46,39 @@ def test_04_tree_underlying_cospectral():
     assert passed, detail
 
 
-def test_04_fails_on_a_nan_gap(monkeypatch):
+def run_04_with_one_gap(monkeypatch, value):
+    """Check 04 with the gap of its seventh tree at the first grid angle set
+    to ``value``; returns its verdict, the trees seen and the calls made."""
     gaps = spectra.coefficient_gaps_below_girth
-    calls = []
+    seen, calls = [], []
 
-    def one_nan(graph, etas):
-        calls.append(1)
-        out = gaps(graph, etas)
-        if len(calls) == 7:
-            out[0] = np.nan
+    def one_slice(graphs, etas):
+        calls.append(len(graphs))
+        out = gaps(graphs, etas)
+        if len(seen) < 7 <= len(seen) + len(graphs):
+            out[6 - len(seen), 0] = value
+        seen.extend(graphs)
         return out
 
-    monkeypatch.setattr(spectra, "coefficient_gaps_below_girth", one_nan)
+    monkeypatch.setattr(spectra, "coefficient_gaps_below_girth", one_slice)
     passed, _ = verify.check_tree_underlying_cospectral(SEED)
-    assert len(calls) == 200
+    return passed, seen, calls
+
+
+def test_04_fails_on_a_nan_gap(monkeypatch):
+    passed, seen, calls = run_04_with_one_gap(monkeypatch, np.nan)
+    assert len(seen) == 200
     assert passed is False
+
+
+def test_04_fails_on_one_gap_past_the_tolerance(monkeypatch):
+    # one call per tree size, n in 2..10, however the trees fall
+    passed, seen, calls = run_04_with_one_gap(monkeypatch, 2 * spectra.COSPECTRAL_TOL)
+    assert len(seen) == sum(calls) == 200
+    assert len(calls) == len({g.n_vertices for g in seen}) == 9
+    assert passed is False
+    monkeypatch.undo()
+    assert verify.check_tree_underlying_cospectral(SEED)[0] is True
 
 
 def test_05_coefficients_agree_below_girth():

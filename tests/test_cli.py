@@ -433,16 +433,16 @@ class TestCommands:
         assert payload["cross_check"] == "not_run"
         assert payload["residual"] is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_result_exits_one(self, tmp_path, capsys):
-        # the trace-recurrence charpoly of this dense graph overflows to NaN
+        # the trace-recurrence charpoly of this dense graph overflows to NaN,
+        # with no RuntimeWarning, which the test settings turn into errors
         g = random_mixed_graph(200, np.random.default_rng(0), 0.3)
         path = tmp_path / "dense.json"
         path.write_text(json.dumps(to_json_dict(g)))
         assert main(["spectrum", "--graph", str(path), "--eta", "0.5"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: result is not finite")
+        assert err == "error: result is not finite in double precision; the graph is too large for this command\n"
 
     def test_graph_json_emitted_by_spectrum_reloads(self, capsys):
         main(["spectrum", "--graph", "cycle:n=6,j=4", "--eta", "0.5"])

@@ -323,10 +323,27 @@ def test_unitary_defect_is_the_difference_formula_bit_for_bit():
         formula = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0], dtype=complex))))
         assert repr(linalg.unitary_defect(m)) == repr(formula)
     assert linalg.unitary_defect(np.zeros((0, 0))) == 0.0
-    # a non-square isometry, for which M M* = I holds, and a stack of one are refused
-    for m in (random_complex(rng, 3)[:2], np.eye(3, dtype=complex)[:2], np.eye(3)[None]):
+    # a non-square isometry, for which M M* = I holds, is refused
+    for m in (random_complex(rng, 3)[:2], np.eye(3, dtype=complex)[:2], np.eye(3)[None, :2]):
         with pytest.raises(DimensionError):
             linalg.unitary_defect(m)
+
+
+def test_unitary_defect_of_a_stack_equals_each_slice_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 5, 16):
+        qs = np.stack([np.linalg.qr(random_complex(rng, n))[0] for _ in range(6)])
+        qs[1] += 1e-9 * random_complex(rng, n)
+        qs[4] = random_complex(rng, n)
+        for batch in ((6,), (2, 3)):
+            stack = qs.reshape(batch + (n, n))
+            got = linalg.unitary_defect(stack)
+            assert got.shape == batch
+            for idx in np.ndindex(batch):
+                assert repr(float(got[idx])) == repr(linalg.unitary_defect(stack[idx]))
+    assert linalg.unitary_defect(np.eye(3)[None]).tolist() == [0.0]
+    assert linalg.unitary_defect(np.zeros((0, 4, 4))).shape == (0,)
+    assert linalg.unitary_defect(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
 
 
 def test_determinant_equals_eigenvalue_product_for_hermitian():

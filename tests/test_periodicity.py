@@ -373,6 +373,31 @@ class TestCertifyPeriod:
         with pytest.raises(DomainError):
             certify_period(np.eye(2, dtype=complex), 0)
 
+    def test_a_stack_equals_each_slice_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 9):
+            stack = time_evolution(random_mixed_path(n, rng), ETA_GRID).evolution
+            tau = path_period(n)
+            for t in [tau, 2 * tau, tau + 1] + [tau // r for r in prime_divisors(tau)]:
+                agrees, residual = certify_period(stack, t)
+                assert agrees.shape == residual.shape == (len(ETA_GRID),)
+                got = [(a, r.hex()) for a, r in zip(agrees.tolist(), residual.tolist())]
+                assert got == [(a, r.hex()) for a, r in (certify_period(u, t) for u in stack)], (n, t)
+                assert all(agrees) == (t == tau)
+            grid = certify_period(stack.reshape(2, 3, *stack.shape[1:]), tau)
+            assert grid[1].tobytes() == certify_period(stack, tau)[1].tobytes()
+
+    def test_a_stack_with_one_non_unitary_slice_is_refused(self):
+        stack = time_evolution(build_cycle(5, 2), ETA_GRID).evolution.copy()
+        assert certify_period(stack[:2], 5)[0].tolist() == [True, False]  # periods 5 at 0 and 25 at pi/5
+        for bad in (1e-6, np.nan):
+            broken = stack.copy()
+            broken[3, 0, 0] += bad
+            with pytest.raises(ContractViolationError):
+                certify_period(broken, 15)
+        with pytest.raises(DimensionError):
+            brute_force_period(stack, 10)  # the scan takes one matrix
+
     def test_closed_forms_are_certified_and_the_scan_stays_for_discovery(self, monkeypatch):
         scan = periodicity.brute_force_period
         calls = []
@@ -389,6 +414,30 @@ class TestCertifyPeriod:
         assert (tau, rep.period, len(calls)) == (15, 15, 1)
         assert not period_of(build_cycle(4, 1), 1.0).periodic  # no closed form at a decimal angle
         assert len(calls) == 2
+
+
+class TestPeriodOfAngleTuple:
+    def test_a_path_grid_equals_its_single_angle_reports(self, monkeypatch):
+        certify = periodicity.certify_period
+        calls = []
+        monkeypatch.setattr(periodicity, "certify_period", lambda u, tau: calls.append(u.shape) or certify(u, tau))
+        rng = np.random.default_rng(37)
+        for n in range(2, 9):
+            for g in (build_path(n, ["digon"] * (n - 1)), random_mixed_path(n, rng)):
+                calls.clear()
+                reports = period_of(g, ETA_GRID)
+                assert calls == [(len(ETA_GRID), 2 * n - 2, 2 * n - 2)]  # one walk, one certificate
+                singles = [period_of(g, eta) for eta in ETA_GRID]
+                assert [astuple(r) for r in reports] == [astuple(r) for r in singles]
+                assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in singles]
+                assert all(r.cross_check == AGREE for r in reports)
+
+    def test_other_graphs_take_the_angles_in_turn(self):
+        for g in (build_cycle(5, 2), build_cycle(4, 1), random_mixed_graph(5, np.random.default_rng(41))):
+            reports = period_of(g, ETA_GRID, 200)
+            assert [astuple(r) for r in reports] == [astuple(period_of(g, eta, 200)) for eta in ETA_GRID]
+        assert period_of(build_cycle(40, 3), (RationalAngle(1, 3),)) == [period_of(build_cycle(40, 3), RationalAngle(1, 3))]
+        assert period_of(build_path(20, ["digon"] * 19), (0.5, 0.7))[1].cross_check == NOT_RUN  # 38 arcs
 
 
 class TestClosedForms:

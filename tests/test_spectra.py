@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mixedwalk import linalg, spectra
-from mixedwalk.errors import DomainError
+from mixedwalk.errors import DimensionError, DomainError
 from mixedwalk.graphs import (
     MixedGraph,
     build_cycle,
     build_path,
     random_mixed_graph,
+    random_mixed_path,
     random_mixed_tree,
     random_unicyclic,
 )
@@ -377,6 +378,27 @@ class TestCoefficientGaps:
                     assert not (coefficient_gaps_below_girth(g, (eta,))[0] <= spectra.COSPECTRAL_TOL)
                     flipped += 1
         assert flipped > 0
+
+    def test_graphs_of_one_size_equal_their_own_calls_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in range(3, 11):
+            same = [all_digon_path(n), build_path(n, ["forward"] * (n - 1))]
+            same += [build_cycle(n, j) for j in range(n + 1)]
+            same += [random_mixed_tree(n, rng) for _ in range(3)]
+            same += [random_unicyclic(n, rng) for _ in range(3)]
+            gaps = coefficient_gaps_below_girth(same, ETA_GRID)
+            assert gaps.shape == (len(same), len(ETA_GRID))
+            for g, row in zip(same, gaps):
+                assert row.tobytes() == coefficient_gaps_below_girth(g, ETA_GRID).tobytes()
+            assert coefficient_gaps_below_girth(tuple(same[:1]), ETA_GRID).tobytes() == gaps[:1].tobytes()
+        # a NaN gap stays in its own row: the all-digon cycle never sees the angle
+        gaps = coefficient_gaps_below_girth([build_cycle(5, 1), build_cycle(5, 0)], (RationalAngle(1, 3), math.nan))
+        assert math.isnan(gaps[0, 1]) and np.isfinite(gaps[[0, 1, 1], [0, 0, 1]]).all()
+
+    def test_graphs_of_different_sizes_are_refused(self):
+        with pytest.raises(DimensionError):
+            coefficient_gaps_below_girth([build_cycle(4, 1), build_cycle(5, 1)], ETA_GRID)
+        assert coefficient_gaps_below_girth([], ETA_GRID).shape == (0, len(ETA_GRID))
 
     def test_nan_gap_is_disagreement(self):
         # a NaN angle puts NaN phases on the directed arcs only; the
